@@ -20,8 +20,7 @@ from . import __version__
 from .geometry import (DomainSpec, classify_direction, equidist_ratio,
                        iddc_audit, NoNearIntegerPoint)
 from .operators import (SourceAndBoundaryData, laplacian, linear_operator,
-                        pucci_minus, pucci_plus, validate_operator,
-                        EffectiveEstimateError)
+                        pucci_minus, pucci_plus, validate_operator)
 from .fdsolver import CertificateError, SolveError
 from .barriers import (BarrierSpec, DegenerateBarrier, StabilityError,
                        verify_supersolution)
@@ -372,8 +371,8 @@ def main(argv=None):
         print(f"config error: missing or invalid field: {field}",
               file=sys.stderr)
         return EXIT_CONFIG
-    except (SolveError, CertificateError, EffectiveEstimateError,
-            NoNearIntegerPoint, StabilityError, DegenerateBarrier) as e:
+    except (SolveError, CertificateError, NoNearIntegerPoint,
+            StabilityError, DegenerateBarrier) as e:
         payload = {"error": type(e).__name__, "message": str(e)}
         hist = getattr(e, "history", None)
         if hist is not None:

@@ -29,7 +29,7 @@ from .geometry import Direction, DomainSpec, classify_direction
 __all__ = [
     "HalfspaceCorrectorProblem", "OscillationProfile", "CorrectorSolution",
     "GbarEstimate", "rotation_frame", "build_strip", "solve_corrector",
-    "ray_limit", "estimate_gbar", "gbar_continuity_probe", "cell_average",
+    "ray_limit", "estimate_gbar", "cell_average",
 ]
 
 
@@ -105,9 +105,6 @@ class OscillationProfile:
     W: list
     fitted_exponent: float
     gamma_est: float
-
-    def to_rows(self):
-        return list(zip(self.heights, self.W))
 
 
 @dataclass
@@ -380,37 +377,6 @@ def estimate_gbar(x0, nu, eps_list, T, L, h, data, op, equality_tol=None,
         equality_tol=float(equality_tol),
         flagged=flagged)
     return est
-
-
-def gbar_continuity_probe(x0, directions, eps, T, L, h, data, op, tol=1e-8):
-    """Empirical modulus of continuity of the ray limit in the normal.
-
-    Rational directions in the list are skipped with a note.  Returns a
-    table of per-direction readouts plus the max pairwise deviation and
-    the max pairwise angular distance.
-    """
-    rows = []
-    skipped = []
-    for v in directions:
-        d = classify_direction(v)
-        if d.is_rational:
-            skipped.append({"nu": [float(c) for c in d.nu],
-                            "reason": "rational direction"})
-            continue
-        p = build_strip(x0, d, eps, T, L, h, data, op)
-        alpha, err, rec = ray_limit(p, tol=tol)
-        rows.append({"nu": [float(c) for c in d.nu],
-                     "alpha": alpha, "err": err,
-                     "flagged": rec["flagged"]})
-    dev = 0.0
-    ang = 0.0
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            dev = max(dev, abs(rows[i]["alpha"] - rows[j]["alpha"]))
-            c = float(np.clip(np.dot(rows[i]["nu"], rows[j]["nu"]), -1, 1))
-            ang = max(ang, math.acos(c))
-    return {"rows": rows, "skipped": skipped,
-            "max_deviation": dev, "max_angle": ang}
 
 
 def cell_average(g, x0=None, quadrature_n=64, period=(1.0, 1.0)):

@@ -21,7 +21,7 @@ from .geometry import (Direction, DomainSpec, RATIONAL, classify_direction,
                        in_D_delta)
 from .operators import (EllipticOperatorSpec, SourceAndBoundaryData,
                         pucci_plus)
-from .fdsolver import INTERIOR, discretize, solve_dirichlet
+from .fdsolver import INTERIOR, CertificateError, discretize, solve_dirichlet
 from .barriers import DegenerateBarrier, exponent_exterior
 from . import corrector as corr
 
@@ -286,7 +286,7 @@ def sample_gbar_on_boundary(p, n_points, eps_list, delta, T=4.0, L=None,
             est = corr.estimate_gbar(x, d, eps_list, T=T, L=L, h=h_strip,
                                      data=p.data, op=p.operator, tol=tol,
                                      seed=seed)
-        except Exception as e:
+        except (RuntimeError, CertificateError) as e:
             env.notes.append(f"gbar estimate failed at s={s:.4f}: {e}")
             continue
         value = est.gbar if est.equal else \

@@ -2,17 +2,22 @@
 
 Second differences along integer directions e,
 Delta_e u = (u(x+he) - 2u(x) + u(x-he)) / (h|e|)^2,
-approximate the second derivative along unit(e).  Pucci operators are
-the extremum over orthogonal integer frames of sum_d phi(Delta_d) with
-phi the {lam, Lam} weighting by sign; linear operators decompose into
-nonnegative weights on axis and diagonal differences (9-point rotated
-scheme).  Off-center weights are nonnegative by construction or by an
-explicit certificate, so the discrete comparison principle holds.
+approximate the second derivative along unit(e).  Every operator is a
+finite sup or inf over a family of members, each of which maps a
+direction d to a pair of nonnegative slopes (one for Delta_d >= 0, one
+for Delta_d < 0): a Pucci operator has one member per orthogonal integer
+frame with slopes {lam, Lam} by sign; a linear operator is one member
+whose nonnegative weights on axis and diagonal differences (9-point
+rotated scheme) serve for both signs; a Bellman family has one such
+member per linear operator.  Off-center weights are nonnegative by
+construction or by an explicit certificate, so the discrete comparison
+principle holds.
 
-Nonlinear problems are solved by Howard policy iteration: freeze the
-optimizing frame/coefficient choice at each node, solve the resulting
-linear system exactly (sparse direct, AMG for large 3-d systems), and
-re-optimize until the nonlinear residual is below tolerance.
+Masked Dirichlet grids and the periodic cell problem on a torus are the
+same DiscreteProblem, solved by Howard policy iteration: freeze the
+optimizing member at each node, solve the resulting linear system
+(sparse direct, BiCGSTAB for large 3-d systems), and re-optimize until
+the nonlinear residual is below tolerance.
 """
 
 import math
@@ -26,7 +31,8 @@ import scipy.sparse.linalg as spla
 __all__ = [
     "EXTERIOR", "BOUNDARY", "INTERIOR",
     "GridField", "DiscreteProblem", "CertificateError", "SolveError",
-    "frames_for", "monotone_weights", "discretize", "solve_dirichlet",
+    "frames_for", "monotone_weights", "discretize", "discretize_cell",
+    "solve_dirichlet",
     "comparison_check", "oscillation_decay_probe",
 ]
 
@@ -155,10 +161,6 @@ class GridField:
     def dim(self):
         return self.mask.ndim
 
-    def node_coords(self, flat_idx):
-        multi = np.stack(np.unravel_index(flat_idx, self.shape), axis=-1)
-        return self.origin + self.h * multi
-
     def coords(self):
         axes = [self.origin[i] + self.h * np.arange(s)
                 for i, s in enumerate(self.shape)]
@@ -255,16 +257,25 @@ def _shift_hits(interior, d):
 
 @dataclass
 class DiscreteProblem:
-    """Assembled Dirichlet problem on a masked grid."""
+    """delta*u + F_h(D^2 u + shift) = f on a masked grid or a torus.
+
+    ``members`` is the operator's family (see ``_family``), reduced by
+    sup or inf according to ``mode``.  A Dirichlet problem has
+    ``shift`` None and ``delta`` 0; the periodic cell problem sets the
+    per-direction shift m_d = unit(d)^T M unit(d) and the zero-order
+    coefficient delta.
+    """
     grid: GridField
     op: object
     f: np.ndarray
     stencil_order: int
-    frames: list
     dirs: list
     int_flat: np.ndarray
     nbr: dict
-    member_weights: Optional[list] = None
+    members: list
+    mode: str
+    shift: Optional[dict] = None
+    delta: float = 0.0
     epsilon: Optional[float] = None
     certificate: dict = field(default_factory=lambda: {"ok": True})
 
@@ -273,6 +284,7 @@ class DiscreteProblem:
         return self.int_flat.size
 
     def second_diffs(self, u_flat):
+        """Second differences Delta_d u, plus the shift m_d if set."""
         h = self.grid.h
         out = {}
         uc = u_flat[self.int_flat]
@@ -280,67 +292,46 @@ class DiscreteProblem:
             ip, im = self.nbr[d]
             w = 1.0 / (h * h * float(np.dot(d, d)))
             out[d] = (u_flat[ip] + u_flat[im] - 2.0 * uc) * w
+            if self.shift is not None:
+                out[d] += self.shift[d]
         return out
 
     def _extremum(self, d2, want_policy):
-        """Pucci/Bellman extremum of the frame sums; optionally the
-        argmax policy weights."""
-        op = self.op
-        kind = op.kind
-        N = self.n_interior
-        if kind in ("pucci_plus", "pucci_minus"):
-            take_max = kind == "pucci_plus"
-            hi_c, lo_c = (op.Lam, op.lam) if take_max else (op.lam, op.Lam)
-            frame_vals, frame_cs = [], []
-            for f in self.frames:
-                tot = np.zeros(N)
-                cf = {}
-                for d in f:
-                    c = np.where(d2[d] >= 0, hi_c, lo_c)
-                    tot += c * d2[d]
-                    cf[d] = c
-                frame_vals.append(tot)
-                frame_cs.append(cf)
-            stackv = np.stack(frame_vals)
-            F = stackv.max(axis=0) if take_max else stackv.min(axis=0)
-            if not want_policy:
-                return F, None
-            pick = np.argmax(stackv, axis=0) if take_max \
-                else np.argmin(stackv, axis=0)
-            weights = {}
-            for fi, f in enumerate(self.frames):
-                sel = pick == fi
-                for d in f:
-                    w = np.where(sel, frame_cs[fi][d], 0.0)
-                    weights[d] = weights.get(d, 0.0) + w
-            return F, weights
-        # linear / bellman over precomputed member weights
-        vals = []
-        for wts in self.member_weights:
-            tot = np.zeros(N)
-            for d, c in wts.items():
+        """Sup/inf over the members of sum_d c_d * d2[d], with c_d the
+        member's slope for the sign of d2[d]; optionally the weights of
+        the optimal member at each node (ties pick the lowest index)."""
+        vals, slopes = [], []
+        for mem in self.members:
+            tot = np.zeros(self.n_interior)
+            cs = {}
+            for d, (up, down) in mem.items():
+                c = up if up is down else np.where(d2[d] >= 0, up, down)
                 tot += c * d2[d]
+                cs[d] = c
             vals.append(tot)
-        if kind == "linear":
-            return vals[0], (self.member_weights[0] if want_policy else None)
+            slopes.append(cs)
+        if len(vals) == 1:
+            return vals[0], (slopes[0] if want_policy else None)
         stackv = np.stack(vals)
-        take_max = op.mode == "sup"
+        take_max = self.mode == "sup"
         F = stackv.max(axis=0) if take_max else stackv.min(axis=0)
         if not want_policy:
             return F, None
         pick = np.argmax(stackv, axis=0) if take_max \
             else np.argmin(stackv, axis=0)
         weights = {}
-        for mi, wts in enumerate(self.member_weights):
+        for mi, cs in enumerate(slopes):
             sel = pick == mi
-            for d, c in wts.items():
+            for d, c in cs.items():
                 weights[d] = weights.get(d, 0.0) + np.where(sel, c, 0.0)
         return F, weights
 
     def residual(self, u_flat):
-        """F_h(u) - f over interior nodes."""
+        """delta*u + F_h(u) - f over interior nodes."""
         d2 = self.second_diffs(u_flat)
         F, _ = self._extremum(d2, want_policy=False)
+        if self.delta:
+            F = F + self.delta * u_flat[self.int_flat]
         return F - self.f
 
     def assemble(self, weights):
@@ -354,7 +345,7 @@ class DiscreteProblem:
         vals_flat = grid.values.ravel()
         rows, cols, vals = [], [], []
         rhs = self.f.astype(float).copy()
-        diag = np.zeros(self.n_interior)
+        diag = np.full(self.n_interior, float(self.delta))
         center = np.arange(self.n_interior)
         for d, c in weights.items():
             c = np.broadcast_to(np.asarray(c, dtype=float), (self.n_interior,))
@@ -366,6 +357,8 @@ class DiscreteProblem:
                 vals.append(w[is_int])
                 rhs[~is_int] -= w[~is_int] * vals_flat[nb[~is_int]]
             diag -= 2.0 * w
+            if self.shift is not None:
+                rhs -= c * self.shift[d]
         rows.append(center)
         cols.append(center)
         vals.append(diag)
@@ -382,6 +375,39 @@ def _node_namer(grid, int_flat):
         x = grid.origin + grid.h * np.asarray(multi)
         return f"node {tuple(int(i) for i in multi)} at x = {x.round(6).tolist()}"
     return where
+
+
+def _neighbours(int_flat, shape, dirs, mode="raise"):
+    """Flat indices of the +d and -d neighbours of each interior node;
+    ``mode="wrap"`` makes the grid a torus."""
+    multi = np.stack(np.unravel_index(int_flat, shape), axis=-1)
+    return {d: (np.ravel_multi_index((multi + d).T, shape, mode=mode),
+                np.ravel_multi_index((multi - d).T, shape, mode=mode))
+            for d in dirs}
+
+
+def _family(op, frames, stencil_order, y_nodes, where):
+    """The operator as (members, mode): F = sup or inf over members of
+    sum_d c_d(Delta_d) Delta_d, each member mapping a direction to its
+    slopes (for Delta_d >= 0, for Delta_d < 0).
+
+    Pucci operators have one member per frame; linear and Bellman
+    members carry one weight array for both signs.  ``y_nodes()`` gives
+    the fast-variable points of the interior nodes.
+    """
+    if op.kind in ("pucci_plus", "pucci_minus"):
+        plus = op.kind == "pucci_plus"
+        slopes = (op.Lam, op.lam) if plus else (op.lam, op.Lam)
+        return [{d: slopes for d in f} for f in frames], \
+            ("sup" if plus else "inf")
+    linear = [op] if op.kind == "linear" else list(op.members)
+    yi = np.asarray(y_nodes(), dtype=float)
+    members = []
+    for mem in linear:
+        a = mem.coefficients(yi).reshape(len(yi), op.dim, op.dim)
+        wts = monotone_weights(a, op.dim, order=stencil_order, where=where)
+        members.append({d: (c, c) for d, c in wts.items()})
+    return members, op.mode
 
 
 def discretize(op, dom, h, stencil_order=2, boundary=None, source=None,
@@ -431,12 +457,7 @@ def discretize(op, dom, h, stencil_order=2, boundary=None, source=None,
 
     grid = GridField(origin=origin, h=float(h), mask=mask, values=values)
     int_flat = np.flatnonzero(mask.ravel() == INTERIOR)
-    multi = np.stack(np.unravel_index(int_flat, shape), axis=-1)
-    nbr = {}
-    for d in dirs:
-        plus = np.ravel_multi_index((multi + d).T, shape)
-        minus = np.ravel_multi_index((multi - d).T, shape)
-        nbr[d] = (plus, minus)
+    nbr = _neighbours(int_flat, shape, dirs)
 
     xi = X[interior]
     f = np.zeros(int_flat.size) if source is None else \
@@ -448,26 +469,47 @@ def discretize(op, dom, h, stencil_order=2, boundary=None, source=None,
         else:
             y_of_x = lambda pts: pts  # noqa: E731
 
-    member_weights = None
-    certificate = {"ok": True, "stencil_order": stencil_order}
-    if op.kind in ("linear", "bellman"):
-        members = [op] if op.kind == "linear" else list(op.members)
-        yi = np.asarray(y_of_x(xi), dtype=float)
-        member_weights = []
-        namer = _node_namer(grid, int_flat)
-        for mem in members:
-            a = mem.coefficients(yi).reshape(int_flat.size, op.dim, op.dim)
-            member_weights.append(
-                monotone_weights(a, op.dim, order=stencil_order, where=namer))
-        used = {d for w in member_weights for d in w}
-        missing = used - set(dirs)
-        if missing:
-            raise CertificateError(f"stencil lacks directions {missing}")
+    members, mode = _family(op, frames, stencil_order, lambda: y_of_x(xi),
+                            _node_namer(grid, int_flat))
+    missing = {d for m in members for d in m} - set(dirs)
+    if missing:
+        raise CertificateError(f"stencil lacks directions {missing}")
     return DiscreteProblem(
-        grid=grid, op=op, f=f, stencil_order=stencil_order, frames=frames,
-        dirs=dirs, int_flat=int_flat, nbr=nbr,
-        member_weights=member_weights, epsilon=epsilon,
-        certificate=certificate)
+        grid=grid, op=op, f=f, stencil_order=stencil_order, dirs=dirs,
+        int_flat=int_flat, nbr=nbr, members=members, mode=mode,
+        epsilon=epsilon,
+        certificate={"ok": True, "stencil_order": stencil_order})
+
+
+def discretize_cell(op, M, delta, cell_grid):
+    """The approximate cell problem delta*v + F(M + D^2 v, y) = 0.
+
+    Every node of a periodic grid with ``cell_grid`` nodes along the
+    shortest period is interior, and the order-2 stencil wraps around
+    the torus.
+    """
+    n = op.dim
+    M = np.asarray(M, dtype=float)
+    period = np.asarray(op.period, dtype=float)
+    h = float(period.min()) / cell_grid
+    shape = tuple(int(round(p / h)) for p in period)
+    frames = frames_for(n, 2)
+    dirs = sorted({d for f in frames for d in f})
+    grid = GridField(origin=np.zeros(n), h=h,
+                     mask=np.full(shape, INTERIOR, dtype=np.int8),
+                     values=np.zeros(shape))
+    int_flat = np.arange(grid.values.size)
+    members, mode = _family(op, frames, 2,
+                            lambda: grid.coords().reshape(-1, n),
+                            _node_namer(grid, int_flat))
+    unit = {d: np.asarray(d, float) / np.linalg.norm(d) for d in dirs}
+    return DiscreteProblem(
+        grid=grid, op=op, f=np.zeros(int_flat.size),
+        stencil_order=2, dirs=dirs, int_flat=int_flat,
+        nbr=_neighbours(int_flat, shape, dirs, mode="wrap"),
+        members=members, mode=mode,
+        shift={d: float(unit[d] @ M @ unit[d]) for d in dirs},
+        delta=float(delta))
 
 
 def _solve_sparse(A, rhs, dim):
@@ -475,16 +517,7 @@ def _solve_sparse(A, rhs, dim):
     n = A.shape[0]
     B = (-A).tocsr()
     b = -rhs
-    big = n > 400_000 or (dim >= 3 and n > 60_000)
-    if big:
-        try:
-            import pyamg
-            ml = pyamg.ruge_stuben_solver(B)
-            x = ml.solve(b, tol=1e-12, accel="bicgstab", maxiter=400)
-            if np.max(np.abs(B @ x - b)) <= 1e-8 * max(1.0, np.max(np.abs(b))):
-                return x
-        except Exception:
-            pass
+    if n > 400_000 or (dim >= 3 and n > 60_000):
         x, info = spla.bicgstab(B, b, rtol=1e-12, atol=0.0, maxiter=2000)
         if info == 0:
             return x
@@ -492,14 +525,15 @@ def _solve_sparse(A, rhs, dim):
 
 
 def solve_dirichlet(p, tol=1e-8, max_iter=50):
-    """Solve the assembled problem by Howard policy iteration.
+    """Solve a discrete problem by Howard policy iteration.
 
-    Freezes the optimizing frame/member at each node, solves the frozen
+    Serves masked Dirichlet grids and the periodic cell problem alike.
+    Freezes the optimizing member at each node, solves the frozen
     linear system exactly, and re-optimizes; for linear operators this
     is a single solve.  Deterministic: ties pick the lowest index.
 
     Returns (GridField, record).  Raises SolveError with the residual
-    history if max_iter is exceeded.
+    history if max_iter is exceeded or the policy repeats above 10*tol.
     """
     grid = p.grid.copy()
     u = grid.values.ravel()

@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 from .expressions import compile_field
+from .fdsolver import discretize_cell, solve_dirichlet
 
 __all__ = [
     "EllipticOperatorSpec", "SourceAndBoundaryData",
@@ -382,197 +381,26 @@ def validate_operator(op, samples=200, seed=0):
     return report
 
 
-class EffectiveEstimateError(RuntimeError):
-    """Cell-problem iteration failed to converge; carries history."""
-
-    def __init__(self, message, history):
-        super().__init__(message)
-        self.history = history
-
-
 def effective_operator_estimate(op, M, delta_ergodic=1e-3, cell_grid=64,
                                 max_policies=50):
     """Estimate Fbar(M) from the approximate cell problem on the torus.
 
-    Solves delta*v + F(M + D^2 v, y) = 0 on a periodic grid by policy
-    iteration (exact sparse linear solves per policy) and returns the
-    grid average of -delta*v with its spread.
+    Solves delta*v + F(M + D^2 v, y) = 0 on a periodic grid by Howard
+    policy iteration (``solve_dirichlet``), to a residual of 1e-6
+    relative to that of v = 0, and returns the grid average of
+    -delta*v with its spread.  Raises SolveError if it does not
+    converge.
     """
     if delta_ergodic <= 0:
         raise ValueError("delta_ergodic must be positive")
-    # deferred import: fdsolver needs this module
-    from .fdsolver import frames_for, monotone_weights
-
-    n = op.dim
-    M = np.asarray(M, dtype=float)
-    period = np.asarray(op.period, dtype=float)
-    h = float(period.min()) / cell_grid
-    shape = tuple(int(round(p / h)) for p in period)
-    axes = [np.arange(s) * h for s in shape]
-    Y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    Ypts = Y.reshape(-1, n)
-    npts = Ypts.shape[0]
-    frames = frames_for(n, 2)
-    dirs = sorted({d for f in frames for d in f})
-    idx = np.arange(npts)
-    multi = np.stack(np.unravel_index(idx, shape), axis=-1)
-    nbr = {}
-    for d in dirs:
-        plus = np.ravel_multi_index(
-            ((multi + d) % shape).T, shape)
-        minus = np.ravel_multi_index(
-            ((multi - d) % shape).T, shape)
-        nbr[d] = (plus, minus)
-
-    def second_diffs(v):
-        out = {}
-        for d in dirs:
-            plus, minus = nbr[d]
-            w = 1.0 / (h * h * float(np.dot(d, d)))
-            out[d] = (v[plus] + v[minus] - 2.0 * v) * w
-        return out
-
-    def unit_dir(d):
-        u = np.asarray(d, dtype=float)
-        return u / np.linalg.norm(u)
-
-    m_dir = {d: float(unit_dir(d) @ M @ unit_dir(d)) for d in dirs}
-
-    if op.kind == "linear":
-        members = [op]
-    elif op.kind == "bellman":
-        members = list(op.members)
-    else:
-        members = None
-
-    member_weights = None
-    member_const = None
-    if members is not None:
-        member_weights = []
-        member_const = []
-        for mem in members:
-            a = mem.coefficients(Ypts)
-            wts = monotone_weights(a, n)
-            member_weights.append(wts)
-            member_const.append(np.einsum("pij,ij->p", a, M))
-
-    def assemble(policy_weights, const):
-        rows, cols, vals = [], [], []
-        diag = np.full(npts, delta_ergodic)
-        for d, c in policy_weights.items():
-            plus, minus = nbr[d]
-            w = c / (h * h * float(np.dot(d, d)))
-            rows.append(idx); cols.append(plus); vals.append(w)
-            rows.append(idx); cols.append(minus); vals.append(w)
-            diag -= 2.0 * w
-        rows.append(idx); cols.append(idx); vals.append(diag)
-        A = sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows),
-                                    np.concatenate(cols))),
-            shape=(npts, npts))
-        # delta*v + sum c_d * Delta_d v = -const
-        return A, -np.asarray(const, dtype=float)
-
-    v = np.zeros(npts)
-    history = []
-    prev_policy = None
-    for it in range(max_policies):
-        d2 = second_diffs(v)
-        if op.kind in ("pucci_plus", "pucci_minus"):
-            take_max = op.kind == "pucci_plus"
-            hi_c, lo_c = (op.Lam, op.lam) if take_max else (op.lam, op.Lam)
-            frame_vals, frame_cs = [], []
-            for f in frames:
-                tot = np.zeros(npts)
-                cf = {}
-                for d in f:
-                    s = d2[d] + m_dir[d]
-                    c = np.where(s >= 0, hi_c, lo_c)
-                    tot += c * s
-                    cf[d] = c
-                frame_vals.append(tot)
-                frame_cs.append(cf)
-            stackv = np.stack(frame_vals)
-            pick = np.argmax(stackv, axis=0) if take_max \
-                else np.argmin(stackv, axis=0)
-            weights = {}
-            const = np.zeros(npts)
-            for fi, f in enumerate(frames):
-                sel = pick == fi
-                for d in f:
-                    c = np.where(sel, frame_cs[fi][d], 0.0)
-                    weights[d] = weights.get(d, 0.0) + c
-                    const += c * m_dir[d] * sel
-        elif op.kind == "linear":
-            weights = {d: c for d, c in member_weights[0].items()}
-            const = member_const[0]
-        else:
-            vals = []
-            for wts, cst in zip(member_weights, member_const):
-                tot = np.asarray(cst, dtype=float).copy()
-                for d, c in wts.items():
-                    tot += c * d2[d]
-                vals.append(tot)
-            stackv = np.stack(vals)
-            pick = np.argmax(stackv, axis=0) if op.mode == "sup" \
-                else np.argmin(stackv, axis=0)
-            weights = {}
-            const = np.zeros(npts)
-            for mi in range(len(members)):
-                sel = pick == mi
-                for d, c in member_weights[mi].items():
-                    weights[d] = weights.get(d, 0.0) + np.where(sel, c, 0.0)
-                const += np.where(sel, member_const[mi], 0.0)
-        A, rhs = assemble(weights, const)
-        v = spla.spsolve(A.tocsc(), rhs)
-        res = residual_cell(v, op, d2func=second_diffs, m_dir=m_dir,
-                            frames=frames, delta=delta_ergodic,
-                            member_weights=member_weights,
-                            member_const=member_const, mode=op.mode,
-                            npts=npts)
-        history.append(float(np.max(np.abs(res))))
-        scale = max(1.0, float(np.max(np.abs(const))))
-        if history[-1] <= 1e-6 * scale:
-            break
-        # exact solves: a repeated policy cannot improve further
-        key = b"".join(np.asarray(weights[d]).tobytes() for d in sorted(weights))
-        if key == prev_policy:
-            break
-        prev_policy = key
-    else:
-        raise EffectiveEstimateError("cell problem did not converge", history)
-    vals = -delta_ergodic * v
+    p = discretize_cell(op, M, delta_ergodic, cell_grid)
+    scale = float(np.max(np.abs(p.residual(np.zeros(p.n_interior)))))
+    v, rec = solve_dirichlet(p, tol=1e-6 * max(1.0, scale),
+                             max_iter=max_policies)
+    vals = -delta_ergodic * v.values
     return {
         "value": float(np.mean(vals)),
         "spread": float(np.max(vals) - np.min(vals)),
-        "iterations": len(history),
-        "residual_history": history,
+        "iterations": rec["iterations"],
+        "residual_history": rec["residual_history"],
     }
-
-
-def residual_cell(v, op, d2func, m_dir, frames, delta, member_weights,
-                  member_const, mode, npts):
-    d2 = d2func(v)
-    if op.kind in ("pucci_plus", "pucci_minus"):
-        take_max = op.kind == "pucci_plus"
-        hi_c, lo_c = (op.Lam, op.lam) if take_max else (op.lam, op.Lam)
-        best = None
-        for f in frames:
-            tot = np.zeros(npts)
-            for d in f:
-                s = d2[d] + m_dir[d]
-                tot += np.where(s >= 0, hi_c * s, lo_c * s)
-            best = tot if best is None else (
-                np.maximum(best, tot) if take_max else np.minimum(best, tot))
-        F = best
-    else:
-        vals = []
-        for wts, cst in zip(member_weights, member_const):
-            tot = np.asarray(cst, dtype=float).copy()
-            for d, c in wts.items():
-                tot += c * d2[d]
-            vals.append(tot)
-        F = vals[0]
-        for v2 in vals[1:]:
-            F = np.maximum(F, v2) if mode == "sup" else np.minimum(F, v2)
-    return delta * v + F

@@ -7,6 +7,7 @@ canonical CSV payloads.
 
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -22,7 +23,8 @@ from homogbc.barriers import (BarrierSpec, finite_boundary_stability_bound,
                               verify_supersolution)
 from homogbc.fdsolver import INTERIOR, discretize, solve_dirichlet
 from homogbc.geometry import DomainSpec, classify_direction, equidist_ratio
-from homogbc.operators import SourceAndBoundaryData, laplacian, pucci_plus
+from homogbc.operators import (EllipticOperatorSpec, SourceAndBoundaryData,
+                               laplacian, linear_operator, pucci_plus)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -246,6 +248,20 @@ RUNNERS = {1: criterion1, 2: criterion2, 3: criterion3, 4: criterion4,
 @pytest.fixture(scope="session")
 def criteria():
     return RUNNERS
+
+
+@pytest.fixture
+def diag_bellman():
+    """Bellman sup/inf over the linear members diag(a1, a2), a_i in
+    {lam, Lam} = {1, 2}: the same operator as Pucci+/- on diagonal
+    Hessians."""
+    def make(mode):
+        members = tuple(
+            linear_operator({"a11": str(a1), "a22": str(a2)}, 1.0, 2.0)
+            for a1, a2 in itertools.product((1.0, 2.0), repeat=2))
+        return EllipticOperatorSpec("bellman", 1.0, 2.0, 2, members=members,
+                                    mode=mode)
+    return make
 
 
 _REPORT_LINES = []

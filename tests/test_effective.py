@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from homogbc import corrector as corr
 from homogbc.effective import (OscillatingProblem, boundary_layer_compare,
                                build_envelopes, effective_sandwich,
                                sample_gbar_on_boundary,
                                shrunken_domain_compare, solve_oscillating)
+from homogbc.fdsolver import SolveError
 from homogbc.geometry import DomainSpec
 from homogbc.operators import SourceAndBoundaryData, laplacian
 
@@ -130,8 +132,26 @@ def test_sandwich_on_disk(cosdata_problem, sampled_env):
         cosdata_problem, sampled_env, [1 / 16], h_pm=1 / 64)
     assert all(r["ok"] for r in verdict.per_eps)
     assert verdict.envelope_gap >= 0.0
-    rec = verdict.to_record()
-    assert rec["converged"] in (True, False)
+    assert verdict.converged
+    assert verdict.envelope_gap <= verdict.gap_budget
+
+
+@pytest.mark.parametrize("exc", [SolveError, TypeError])
+def test_sample_gbar_files_only_numerical_failures(monkeypatch, exc):
+    # a solver failure is a per-point note; a programming error propagates
+    def fail(*args, **kwargs):
+        raise exc("injected")
+
+    monkeypatch.setattr(corr, "estimate_gbar", fail)
+    p = OscillatingProblem(DISK, 1 / 16, laplacian(), _const_data(0.2))
+    if exc is TypeError:
+        with pytest.raises(TypeError):
+            sample_gbar_on_boundary(p, 12, [1 / 8, 1 / 16], delta=0.5)
+        return
+    env = sample_gbar_on_boundary(p, 12, [1 / 8, 1 / 16], delta=0.5)
+    assert not env.samples
+    failed = [n for n in env.notes if "gbar estimate failed" in n]
+    assert failed and all("injected" in n for n in failed)
 
 
 def test_boundary_layer_compare_scales(cosdata_problem):

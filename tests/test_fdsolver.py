@@ -138,15 +138,30 @@ def test_pucci_envelopes_sandwich_linear_solutions():
                   sols["pucci_minus"].values[sel] - 1e-7)
 
 
+@pytest.mark.parametrize("mode,pucci", [("sup", pucci_plus),
+                                        ("inf", pucci_minus)])
+def test_bellman_diagonal_family_matches_pucci(diag_bellman, mode, pucci):
+    # on the axis frame Pucci+/- is the sup/inf of the diagonal members
+    g = lambda x: np.cos(5 * np.atleast_2d(x)[:, 0]) * \
+        np.sin(3 * np.atleast_2d(x)[:, 1])
+    sols = []
+    for op in (diag_bellman(mode), pucci(1.0, 2.0)):
+        p = discretize(op, RECT, 1 / 24, stencil_order=1, boundary=g)
+        u, _ = solve_dirichlet(p)
+        sols.append(u.values)
+    assert np.max(np.abs(sols[0] - sols[1])) <= 1e-10
+
+
 def test_dump_load_roundtrip(tmp_path):
     p = discretize(laplacian(), RECT, 1 / 8, boundary=_harmonic)
     u, _ = solve_dirichlet(p)
-    path = tmp_path / "field.npz"
+    path = tmp_path / "field.grid"
     u.dump(path)
     v = GridField.load(path)
     assert v.h == u.h
     np.testing.assert_array_equal(v.mask, u.mask)
-    np.testing.assert_allclose(v.values, u.values)
+    # 17 significant digits round-trip doubles exactly
+    np.testing.assert_array_equal(v.values, u.values)
 
 
 def test_oscillation_decay_probe():

@@ -121,6 +121,20 @@ def test_effective_estimate_monotone_in_M():
     assert f2["value"] >= f1["value"] - 1e-8
 
 
+@pytest.mark.parametrize("make,value", [
+    (lambda bell: pucci_plus(1.0, 2.0), 5.0),
+    (lambda bell: pucci_minus(1.0, 2.0), 1.0),
+    (lambda bell: bell("sup"), 5.0),
+    (lambda bell: bell("inf"), 1.0),
+], ids=["pucci_plus", "pucci_minus", "bellman_sup", "bellman_inf"])
+def test_effective_estimate_constant_nonlinear(diag_bellman, make, value):
+    # y-independent operators: Fbar(M) = F(M); at M = diag(3, -1)
+    # Pucci+ = 2*3 - 1 = 5 and Pucci- = 3 - 2 = 1, and the diagonal
+    # Bellman sup/inf attains the same values
+    rec = effective_operator_estimate(make(diag_bellman), np.diag([3.0, -1.0]))
+    assert rec["value"] == pytest.approx(value, abs=1e-6)
+
+
 def test_norm_estimates_present():
     from homogbc.operators import SourceAndBoundaryData
     data = SourceAndBoundaryData.from_exprs("cos(2*pi*y1)*cos(2*pi*y2)", "0",
