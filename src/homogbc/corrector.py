@@ -6,8 +6,10 @@ w = g(x0, .) on the hyperplane.  The artifact truncates to a strip of
 height T and width L in rotated coordinates xi (last axis along nu):
 bottom carries the exact trace, lateral faces the constant-in-height
 extension of their bottom foot, and the top the running mean of the
-bottom trace (refined once from a first ray-limit estimate).  The
-lateral truncation error is certified by the explicit quadratic barrier.
+bottom trace (refined once from a first ray-limit estimate).  The strip
+is discretized once and solved twice; the two solves differ only in the
+top-face values.  The lateral truncation error is certified by the
+explicit quadratic barrier.
 
 Ray limits alpha_eps are read as the window average at t* = 3T/4 with
 error bar W_{t*} + truncation bound + solver tolerance; the estimator
@@ -109,11 +111,11 @@ class OscillationProfile:
 
 @dataclass
 class CorrectorSolution:
+    """The final strip solve; ``alpha`` is its window mean at t* = 3T/4."""
     field: fdsolver.GridField
     profile: OscillationProfile
+    alpha: float
     truncation_bound: float
-    trace_osc: float
-    top_value: float
     solver_record: dict
     tol: float
 
@@ -161,70 +163,55 @@ def build_strip(x0, nu, epsilon, T, L, h, data, op, y0_shift=None, seed=0):
     return prob
 
 
-def _strip_solve(p, top_value, tol):
+def _strip_problem(p):
+    """The strip as one discrete problem, with the mask of its top-face
+    ring nodes.
+
+    Every ring node carries the bottom trace at its foot (bottom and
+    lateral faces share it); the caller sets the top-face values before
+    each solve.
+    """
     n = p.Q.shape[0]
     lo = np.array([-p.L / 2.0] * (n - 1) + [0.0])
     hi = np.array([p.L / 2.0] * (n - 1) + [p.T])
     dom = DomainSpec.rectangle(lo, hi)
-    eps_face = p.h / 2.0
-
-    def boundary(pts):
-        pts = np.asarray(pts, dtype=float)
-        s = pts[..., :-1]
-        t = pts[..., -1]
-        vals = p.bottom_trace(s)  # bottom and lateral share the foot value
-        return np.where(t >= p.T - eps_face, top_value, vals)
-
-    op_rot = p.op.rotated(p.Q)
-    prob = discretize(op_rot, dom, p.h, stencil_order=2, boundary=boundary,
-                      y_of_x=lambda xi: p.y_of_xi(xi))
-    grid, record = solve_dirichlet(prob, tol=tol)
-    return grid, record
+    prob = discretize(p.op.rotated(p.Q), dom, p.h, stencil_order=2,
+                      boundary=lambda pts: p.bottom_trace(pts[..., :-1]),
+                      y_of_x=p.y_of_xi)
+    grid = prob.grid
+    top = (grid.mask == fdsolver.BOUNDARY) & \
+        (grid.coords()[..., -1] >= p.T - p.h / 2.0)
+    return prob, top
 
 
-def _window_rows(p, grid):
-    """Index helpers: tangential window |xi'| <= L/4 and row lookup."""
+def _window_readout(p, grid, heights):
+    """Mean and oscillation of the field over the central window
+    |xi'| <= L/4, on the grid row nearest each height."""
     n = grid.dim
-    axes = [grid.origin[i] + grid.h * np.arange(grid.shape[i])
-            for i in range(n)]
-    win = np.ones(grid.shape, dtype=bool)
+    sel = grid.mask != fdsolver.EXTERIOR
     for i in range(n - 1):
-        coord = axes[i].reshape([-1 if j == i else 1 for j in range(n)])
-        win &= np.abs(np.broadcast_to(coord, grid.shape)) <= p.L / 4 + 1e-12
-    live = grid.mask != fdsolver.EXTERIOR
-
-    def row(t):
+        s = grid.origin[i] + grid.h * np.arange(grid.shape[i])
+        sel = sel & (np.abs(s) <= p.L / 4 + 1e-12).reshape(
+            [-1 if j == i else 1 for j in range(n)])
+    means, W = [], []
+    for t in heights:
         k = int(round((t - grid.origin[-1]) / grid.h))
         k = min(max(k, 0), grid.shape[-1] - 1)
-        idx = [slice(None)] * n
-        idx[-1] = k
-        return tuple(idx)
-
-    return win, live, row
-
-
-def _osc_at(p, grid, t, win, live, row):
-    idx = row(t)
-    sel = win[idx] & live[idx]
-    vals = grid.values[idx][sel]
-    return float(vals.max() - vals.min()) if vals.size else 0.0
+        vals = grid.values[..., k][sel[..., k]]
+        means.append(float(vals.mean()) if vals.size else math.nan)
+        W.append(float(vals.max() - vals.min()) if vals.size else 0.0)
+    return means, W
 
 
-def _mean_at(p, grid, t, win, live, row):
-    idx = row(t)
-    sel = win[idx] & live[idx]
-    vals = grid.values[idx][sel]
-    return float(vals.mean()) if vals.size else math.nan
-
-
-def trace_oscillation(p, stretch=4.0):
-    """Oscillation of the bottom trace over a long tangential stretch.
+def trace_oscillation(p):
+    """Oscillation of the bottom trace over a long tangential stretch
+    (four strip widths, at least 64).
 
     By the maximum principle the true half-space solution stays within
     [min, max] of the full bottom trace, so this bounds the pointwise
     error of the constant-in-height lateral extension.
     """
-    span = max(stretch * p.L, 64.0)
+    span = max(4.0 * p.L, 64.0)
     s = np.arange(-span / 2, span / 2 + p.h / 2, p.h)
     vals = p.bottom_trace(s)
     return float(vals.max() - vals.min())
@@ -233,22 +220,24 @@ def trace_oscillation(p, stretch=4.0):
 def solve_corrector(p, tol=1e-8):
     """Solve the strip problem and measure the oscillation profile.
 
-    Two passes: the top Dirichlet value starts as the mean of the bottom
-    trace and is refined once from a first ray-limit readout.
+    The strip is discretized once and solved twice: the top Dirichlet
+    value starts as the mean of the bottom trace and is refined once
+    from a first ray-limit readout; the two solves differ only in the
+    top-face values.
 
     Returns a CorrectorSolution.
     """
+    prob, top = _strip_problem(p)
     s = np.arange(-p.L / 2, p.L / 2 + p.h / 2, p.h)
     top0 = float(np.mean(p.bottom_trace(s)))
-    grid, rec = _strip_solve(p, top0, tol)
-    win, live, row = _window_rows(p, grid)
-    t_star = 0.75 * p.T
-    alpha1 = _mean_at(p, grid, t_star, win, live, row)
-    if abs(alpha1 - top0) > 1e-12:
-        grid, rec = _strip_solve(p, alpha1, tol)
-        win, live, row = _window_rows(p, grid)
-    heights = [p.T * k / 8.0 for k in range(1, 9)]
-    W = [_osc_at(p, grid, t, win, live, row) for t in heights]
+    heights = [p.T * k / 8.0 for k in range(1, 9)]  # heights[5] = t*
+    prob.grid.values[top] = top0
+    grid, rec = solve_dirichlet(prob, tol=tol)
+    means, W = _window_readout(p, grid, heights)
+    if abs(means[5] - top0) > 1e-12:
+        prob.grid.values[top] = means[5]
+        grid, rec = solve_dirichlet(prob, tol=tol)
+        means, W = _window_readout(p, grid, heights)
     pos = [(t, w) for t, w in zip(heights, W) if w > 1e-13]
     if len(pos) >= 2:
         slope = float(np.polyfit(np.log([t for t, _ in pos]),
@@ -261,14 +250,13 @@ def solve_corrector(p, tol=1e-8):
         if ratios else 0.0
     profile = OscillationProfile(heights=heights, W=W,
                                  fitted_exponent=slope, gamma_est=gamma)
-    osc_tr = trace_oscillation(p)
     factor = strip_truncation_factor(
         n=p.Q.shape[0], lam=p.op.lam, Lam=p.op.Lam, L=p.L, T=p.T,
-        window_halfwidth=p.L / 4.0, t_star=t_star)
+        window_halfwidth=p.L / 4.0, t_star=0.75 * p.T)
     return CorrectorSolution(
-        field=grid, profile=profile,
-        truncation_bound=osc_tr * factor, trace_osc=osc_tr,
-        top_value=float(alpha1), solver_record=rec, tol=tol)
+        field=grid, profile=profile, alpha=means[5],
+        truncation_bound=trace_oscillation(p) * factor,
+        solver_record=rec, tol=tol)
 
 
 def ray_limit(p, sol=None, tol=1e-8):
@@ -282,10 +270,9 @@ def ray_limit(p, sol=None, tol=1e-8):
     if sol is None:
         sol = solve_corrector(p, tol=tol)
     grid = sol.field
-    win, live, row = _window_rows(p, grid)
     t_star = 0.75 * p.T
-    alpha = _mean_at(p, grid, t_star, win, live, row)
-    W_star = _osc_at(p, grid, t_star, win, live, row)
+    alpha = sol.alpha
+    W_star = sol.profile.W[5]
     err = W_star + sol.truncation_bound + sol.tol
     rng = np.random.default_rng(p.seed)
     n = grid.dim

@@ -269,7 +269,7 @@ def sample_gbar_on_boundary(p, n_points, eps_list, delta, T=4.0, L=None,
             continue
         try:
             d = classify_direction(nu_in, max_denominator=max_denominator)
-        except Exception as e:  # degenerate normal, e.g. a corner
+        except ValueError as e:  # degenerate normal, e.g. a corner
             env.notes.append(f"classification failed at s={s:.4f}: {e}")
             env.excluded.append({"z": [float(c) for c in x],
                                  "r": float(excluded_radius),

@@ -311,7 +311,6 @@ class DomainSpec:
     """
     kind: str
     params: dict = field(default_factory=dict)
-    boundary_resolution: int = 720
 
     # -- constructors -------------------------------------------------
     @staticmethod

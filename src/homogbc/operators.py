@@ -7,7 +7,6 @@ homogeneous and degenerate-elliptic monotone, which is what the monotone
 finite-difference schemes downstream rely on.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -25,42 +24,11 @@ __all__ = [
 
 
 def symmetric_eigenvalues(M):
-    """Eigenvalues of a small symmetric matrix, deterministically.
-
-    Closed form for n=2; cyclic Jacobi sweeps to a 1e-12 off-diagonal
-    target for n>=3.
-    """
+    """Ascending eigenvalues of a small symmetric matrix."""
     M = np.asarray(M, dtype=float)
-    n = M.shape[0]
     if np.max(np.abs(M - M.T)) > 1e-10:
         raise ValueError("matrix is not symmetric")
-    M = 0.5 * (M + M.T)
-    if n == 1:
-        return np.array([M[0, 0]])
-    if n == 2:
-        tr = M[0, 0] + M[1, 1]
-        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        disc = math.sqrt(max(tr * tr / 4.0 - det, 0.0))
-        return np.array([tr / 2.0 - disc, tr / 2.0 + disc])
-    A = M.copy()
-    for _ in range(64):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off = max(off, abs(A[p, q]))
-                if abs(A[p, q]) < 1e-14:
-                    continue
-                theta = 0.5 * math.atan2(2 * A[p, q], A[q, q] - A[p, p])
-                c, s = math.cos(theta), math.sin(theta)
-                J = np.eye(n)
-                J[p, p] = c
-                J[q, q] = c
-                J[p, q] = s
-                J[q, p] = -s
-                A = J.T @ A @ J
-        if off < 1e-12:
-            break
-    return np.sort(np.diag(A))
+    return np.linalg.eigvalsh(0.5 * (M + M.T))
 
 
 def pucci_eval(M, lam, Lam, sign="+"):
@@ -385,10 +353,10 @@ def effective_operator_estimate(op, M, delta_ergodic=1e-3, cell_grid=64,
                                 max_policies=50):
     """Estimate Fbar(M) from the approximate cell problem on the torus.
 
-    Solves delta*v + F(M + D^2 v, y) = 0 on a periodic grid by Howard
+    Solves delta*v - F(M + D^2 v, y) = 0 on a periodic grid by Howard
     policy iteration (``solve_dirichlet``), to a residual of 1e-6
     relative to that of v = 0, and returns the grid average of
-    -delta*v with its spread.  Raises SolveError if it does not
+    delta*v with its spread.  Raises SolveError if it does not
     converge.
     """
     if delta_ergodic <= 0:
@@ -397,7 +365,7 @@ def effective_operator_estimate(op, M, delta_ergodic=1e-3, cell_grid=64,
     scale = float(np.max(np.abs(p.residual(np.zeros(p.n_interior)))))
     v, rec = solve_dirichlet(p, tol=1e-6 * max(1.0, scale),
                              max_iter=max_policies)
-    vals = -delta_ergodic * v.values
+    vals = delta_ergodic * v.values
     return {
         "value": float(np.mean(vals)),
         "spread": float(np.max(vals) - np.min(vals)),

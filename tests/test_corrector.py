@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from homogbc import corrector
 from homogbc.corrector import (build_strip, cell_average, estimate_gbar,
                                ray_limit, rotation_frame, solve_corrector)
 from homogbc.operators import SourceAndBoundaryData, laplacian, pucci_plus
@@ -49,6 +50,28 @@ def test_oscillation_profile_non_increasing():
     W = np.asarray(sol.profile.W)
     assert np.all(np.diff(W) <= 1e-10)
     assert W[5] <= W[0] / 4
+
+
+def test_strip_discretized_once(monkeypatch):
+    # the two top-value passes solve one discrete problem
+    calls = {"discretize": 0, "solve_dirichlet": 0}
+
+    def counted(name):
+        fn = getattr(corrector, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(corrector, name, counted(name))
+    data = SourceAndBoundaryData.from_exprs("cos(2*pi*y1)*cos(2*pi*y2)", "0",
+                                            dim=2, period=(1.0, 1.0))
+    p = build_strip(np.zeros(2), NU_IRR, 0.25, 4.0, 12.0, 1 / 16, data,
+                    laplacian())
+    solve_corrector(p)
+    assert calls == {"discretize": 1, "solve_dirichlet": 2}
 
 
 def test_boundary_monotonicity_of_ray_limit():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from homogbc import corrector as corr
+from homogbc import effective
 from homogbc.effective import (OscillatingProblem, boundary_layer_compare,
                                build_envelopes, effective_sandwich,
                                sample_gbar_on_boundary,
@@ -152,6 +153,27 @@ def test_sample_gbar_files_only_numerical_failures(monkeypatch, exc):
     assert not env.samples
     failed = [n for n in env.notes if "gbar estimate failed" in n]
     assert failed and all("injected" in n for n in failed)
+
+
+@pytest.mark.parametrize("exc", [ValueError, TypeError])
+def test_sample_gbar_files_only_unclassifiable_normals(monkeypatch, exc):
+    # an unclassifiable normal is a note plus an excluded ball; a
+    # programming error in the classifier propagates
+    def fail(*args, **kwargs):
+        raise exc("injected")
+
+    monkeypatch.setattr(effective, "classify_direction", fail)
+    p = OscillatingProblem(DISK, 1 / 16, laplacian(), _const_data(0.2))
+    if exc is TypeError:
+        with pytest.raises(TypeError):
+            sample_gbar_on_boundary(p, 12, [1 / 8, 1 / 16], delta=0.5)
+        return
+    env = sample_gbar_on_boundary(p, 12, [1 / 8, 1 / 16], delta=0.5)
+    assert not env.samples
+    failed = [n for n in env.notes if "classification failed" in n]
+    assert failed and all("injected" in n for n in failed)
+    balls = [b for b in env.excluded if b["reason"] == "unclassifiable normal"]
+    assert len(balls) == len(failed)
 
 
 def test_boundary_layer_compare_scales(cosdata_problem):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from homogbc.fdsolver import (INTERIOR, CertificateError, GridField,
-                              comparison_check,
-                              discretize, monotone_weights,
+                              comparison_check, discretize,
+                              discretize_cell, monotone_weights,
                               oscillation_decay_probe, solve_dirichlet)
 from homogbc.geometry import DomainSpec
 from homogbc.operators import laplacian, linear_operator, pucci_minus, pucci_plus
@@ -150,6 +150,23 @@ def test_bellman_diagonal_family_matches_pucci(diag_bellman, mode, pucci):
         u, _ = solve_dirichlet(p)
         sols.append(u.values)
     assert np.max(np.abs(sols[0] - sols[1])) <= 1e-10
+
+
+@pytest.mark.parametrize("op", [
+    linear_operator({"a11": "1.5 + 0.5*sin(2*pi*y1)", "a12": "0.3",
+                     "a22": "1.0"}, 1.0, 2.0, period=(1.0, 1.0)),
+    pucci_plus(1.0, 2.0),
+], ids=["linear", "pucci_plus"])
+def test_cell_system_is_m_matrix(op):
+    # delta*v - F(M + D^2 v) = 0: on the torus every neighbour is
+    # interior, so -A has positive diagonal and row sums +delta
+    delta = 1e-2
+    p = discretize_cell(op, np.array([[1.0, 0.4], [0.4, -2.0]]), delta, 16)
+    d2 = p.second_diffs(np.zeros(p.n_interior))
+    A, _ = p.assemble(p._extremum(d2, want_policy=True)[1])
+    np.testing.assert_allclose(np.asarray((-A).sum(axis=1)).ravel(), delta,
+                               rtol=0.0, atol=1e-9)
+    assert np.all(-A.diagonal() > 0)
 
 
 def test_dump_load_roundtrip(tmp_path):
