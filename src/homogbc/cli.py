@@ -308,6 +308,7 @@ def _cmd_homogenize(cfg, args):
         "verdict": verdict.to_record(),
         "excluded": env.excluded,
         "correction": env.correction,
+        "factor_reuse": env.factor_reuse,
         "notes": env.notes,
     })
     if cfg.get("dump_grids"):

@@ -8,15 +8,20 @@ bottom carries the exact trace, lateral faces the constant-in-height
 extension of their bottom foot, and the top the running mean of the
 bottom trace (refined once from a first ray-limit estimate).  The strip
 is discretized once and solved twice; the two solves differ only in the
-top-face values.  The lateral truncation error is certified by the
-explicit quadratic barrier.
+top-face values, and the second starts from the first's field.  The
+lateral truncation error is certified by the explicit quadratic
+barrier.
 
 Ray limits alpha_eps are read as the window average at t* = 3T/4 with
 error bar W_{t*} + truncation bound + solver tolerance; the estimator
 aggregates them into the one-sided effective data gbar_star/gbar_lower
-and their equality verdict.
+and their equality verdict.  Under a linear operator the strips of one
+normal share their matrix across epsilons and passes; the estimator
+runs them in one ``fdsolver.factor_reuse`` scope, so that matrix is
+factored once.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -88,14 +93,9 @@ class HalfspaceCorrectorProblem:
         return self.y0_eps + xi @ self.Q.T
 
     def bottom_trace(self, s):
-        """Boundary datum along the bottom of the strip.
-
-        ``s`` are tangential coordinates, shape (...,) in 2-d or
-        (..., n-1) generally.
-        """
+        """Boundary datum along the bottom of the strip at tangential
+        coordinates ``s`` of shape (..., n-1)."""
         s = np.asarray(s, dtype=float)
-        if self.Q.shape[0] == 2 and s.ndim <= 1:
-            s = s[..., None]
         xi = np.concatenate([s, np.zeros(s.shape[:-1] + (1,))], axis=-1)
         return np.asarray(self.g(self.y_of_xi(xi)), dtype=float)
 
@@ -152,10 +152,10 @@ def build_strip(x0, nu, epsilon, T, L, h, data, op, y0_shift=None, seed=0):
         gfun = lambda y, _d=data: np.asarray(_d.g(  # noqa: E731
             np.broadcast_to(x0, np.shape(y)), y), dtype=float)
         g_sup = data.norm_estimates(x0=x0)["g_sup"]
-    if g_sup is None:
-        probe = gfun(y0 + np.linspace(0, 64, 4096)[:, None]
-                     * (Q[:, 0] if x0.size == 2 else Q[:, 0]))
-        g_sup = float(np.max(np.abs(probe)))
+    if g_sup is None:  # probe a line along every tangential axis
+        t = np.linspace(0, 64, 4096)[:, None]
+        g_sup = max(float(np.max(np.abs(gfun(y0 + t * Q[:, k]))))
+                    for k in range(x0.size - 1))
     prob = HalfspaceCorrectorProblem(
         x0=x0, nu=d, epsilon=float(epsilon), y0_eps=y0, Q=Q,
         T=float(T), L=float(L), h=float(h), g=gfun, op=op,
@@ -203,9 +203,18 @@ def _window_readout(p, grid, heights):
     return means, W
 
 
+def _tangential_traces(p, s):
+    """The bottom trace on the tangential grid s^(n-1), one line along
+    the last tangential axis at a time (keeps a 3-d sweep small)."""
+    n = p.Q.shape[0]
+    return [p.bottom_trace(np.column_stack(
+        [np.broadcast_to(head, (s.size, n - 2)), s]))
+        for head in itertools.product(s, repeat=n - 2)]
+
+
 def trace_oscillation(p):
-    """Oscillation of the bottom trace over a long tangential stretch
-    (four strip widths, at least 64).
+    """Oscillation of the bottom trace over a long tangential patch
+    (four strip widths, at least 64, along every tangential axis).
 
     By the maximum principle the true half-space solution stays within
     [min, max] of the full bottom trace, so this bounds the pointwise
@@ -213,8 +222,8 @@ def trace_oscillation(p):
     """
     span = max(4.0 * p.L, 64.0)
     s = np.arange(-span / 2, span / 2 + p.h / 2, p.h)
-    vals = p.bottom_trace(s)
-    return float(vals.max() - vals.min())
+    lines = _tangential_traces(p, s)
+    return float(max(v.max() for v in lines) - min(v.min() for v in lines))
 
 
 def solve_corrector(p, tol=1e-8):
@@ -223,20 +232,20 @@ def solve_corrector(p, tol=1e-8):
     The strip is discretized once and solved twice: the top Dirichlet
     value starts as the mean of the bottom trace and is refined once
     from a first ray-limit readout; the two solves differ only in the
-    top-face values.
+    top-face values, and the second starts from the first's field.
 
     Returns a CorrectorSolution.
     """
     prob, top = _strip_problem(p)
     s = np.arange(-p.L / 2, p.L / 2 + p.h / 2, p.h)
-    top0 = float(np.mean(p.bottom_trace(s)))
+    top0 = float(np.mean(np.concatenate(_tangential_traces(p, s))))
     heights = [p.T * k / 8.0 for k in range(1, 9)]  # heights[5] = t*
     prob.grid.values[top] = top0
     grid, rec = solve_dirichlet(prob, tol=tol)
     means, W = _window_readout(p, grid, heights)
     if abs(means[5] - top0) > 1e-12:
         prob.grid.values[top] = means[5]
-        grid, rec = solve_dirichlet(prob, tol=tol)
+        grid, rec = solve_dirichlet(prob, tol=tol, start=grid)
         means, W = _window_readout(p, grid, heights)
     pos = [(t, w) for t, w in zip(heights, W) if w > 1e-13]
     if len(pos) >= 2:
@@ -336,16 +345,17 @@ def estimate_gbar(x0, nu, eps_list, T, L, h, data, op, equality_tol=None,
         raise ValueError("need at least two epsilon values")
     recs = []
     flagged = []
-    for eps in sorted(eps_list):
-        p = build_strip(x0, nu, eps, T, L, h, data, op, seed=seed)
-        alpha, err, rec = ray_limit(p, tol=tol)
-        if abs(alpha) > p.g_sup + 10 * tol + 1e-9:
-            raise RuntimeError(
-                f"|alpha| = {abs(alpha):g} exceeds sup|g| = {p.g_sup:g}")
-        rec["eps"] = float(eps)
-        recs.append(rec)
-        if rec["flagged"]:
-            flagged.append(float(eps))
+    with fdsolver.factor_reuse():
+        for eps in sorted(eps_list):
+            p = build_strip(x0, nu, eps, T, L, h, data, op, seed=seed)
+            alpha, err, rec = ray_limit(p, tol=tol)
+            if abs(alpha) > p.g_sup + 10 * tol + 1e-9:
+                raise RuntimeError(f"|alpha| = {abs(alpha):g} exceeds "
+                                   f"sup|g| = {p.g_sup:g}")
+            rec["eps"] = float(eps)
+            recs.append(rec)
+            if rec["flagged"]:
+                flagged.append(float(eps))
     alphas = [r["alpha"] for r in recs]
     errs = [r["err"] for r in recs]
     spread = max(alphas) - min(alphas)

@@ -21,7 +21,8 @@ from .geometry import (Direction, DomainSpec, RATIONAL, classify_direction,
                        in_D_delta)
 from .operators import (EllipticOperatorSpec, SourceAndBoundaryData,
                         pucci_plus)
-from .fdsolver import INTERIOR, CertificateError, discretize, solve_dirichlet
+from .fdsolver import (INTERIOR, CertificateError, discretize, factor_reuse,
+                       solve_dirichlet)
 from .barriers import DegenerateBarrier, exponent_exterior
 from . import corrector as corr
 
@@ -151,6 +152,7 @@ class BoundaryEnvelope:
     h_plus: Optional[Callable] = None
     h_minus: Optional[Callable] = None
     correction: dict = field(default_factory=dict)
+    factor_reuse: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
     @property
@@ -245,7 +247,9 @@ def sample_gbar_on_boundary(p, n_points, eps_list, delta, T=4.0, L=None,
     and not sampled; the rest run the corrector estimate.  Per-point
     failures are recorded in the notes list, not raised.  ``reuse`` may
     carry a previous envelope whose samples (which do not depend on
-    delta) are reused at matching arclengths.
+    delta) are reused at matching arclengths.  The points share one
+    ``factor_reuse`` scope; its counts of factorizations and reused
+    solves go to ``env.factor_reuse``.
     """
     if L is None:
         L = 6.0 * T
@@ -259,47 +263,49 @@ def sample_gbar_on_boundary(p, n_points, eps_list, delta, T=4.0, L=None,
     cache = {}
     if reuse is not None:
         cache = {round(sm["s"], 9): sm for sm in reuse.samples}
-    for x, nv, s in zip(pts, normals, arcs):
-        nu_in = -np.asarray(nv, float)
-        if _in_excluded(x, env.excluded):
-            continue
-        hit = cache.get(round(float(s), 9))
-        if hit is not None:
-            env.samples.append(dict(hit))
-            continue
-        try:
-            d = classify_direction(nu_in, max_denominator=max_denominator)
-        except ValueError as e:  # degenerate normal, e.g. a corner
-            env.notes.append(f"classification failed at s={s:.4f}: {e}")
-            env.excluded.append({"z": [float(c) for c in x],
-                                 "r": float(excluded_radius),
-                                 "reason": "unclassifiable normal"})
-            continue
-        if d.kind == RATIONAL:
-            member, _ = in_D_delta(d, delta)
-            if not member:
+    with factor_reuse() as scope:
+        for x, nv, s in zip(pts, normals, arcs):
+            nu_in = -np.asarray(nv, float)
+            if _in_excluded(x, env.excluded):
+                continue
+            hit = cache.get(round(float(s), 9))
+            if hit is not None:
+                env.samples.append(dict(hit))
+                continue
+            try:
+                d = classify_direction(nu_in, max_denominator=max_denominator)
+            except ValueError as e:  # degenerate normal, e.g. a corner
+                env.notes.append(f"classification failed at s={s:.4f}: {e}")
                 env.excluded.append({"z": [float(c) for c in x],
                                      "r": float(excluded_radius),
-                                     "reason": f"m={d.m} not in D_delta"})
+                                     "reason": "unclassifiable normal"})
                 continue
-        try:
-            est = corr.estimate_gbar(x, d, eps_list, T=T, L=L, h=h_strip,
-                                     data=p.data, op=p.operator, tol=tol,
-                                     seed=seed)
-        except (RuntimeError, CertificateError) as e:
-            env.notes.append(f"gbar estimate failed at s={s:.4f}: {e}")
-            continue
-        value = est.gbar if est.equal else \
-            0.5 * (est.gbar_star + est.gbar_lower)
-        bar = 0.5 * (est.gbar_star - est.gbar_lower)
-        env.samples.append({
-            "x": [float(c) for c in x],
-            "s": float(s),
-            "gbar": float(value),
-            "err": float(bar),
-            "kind": d.kind,
-            "equal": bool(est.equal),
-        })
+            if d.kind == RATIONAL:
+                member, _ = in_D_delta(d, delta)
+                if not member:
+                    env.excluded.append({"z": [float(c) for c in x],
+                                         "r": float(excluded_radius),
+                                         "reason": f"m={d.m} not in D_delta"})
+                    continue
+            try:
+                est = corr.estimate_gbar(x, d, eps_list, T=T, L=L, h=h_strip,
+                                         data=p.data, op=p.operator, tol=tol,
+                                         seed=seed)
+            except (RuntimeError, CertificateError) as e:
+                env.notes.append(f"gbar estimate failed at s={s:.4f}: {e}")
+                continue
+            value = est.gbar if est.equal else \
+                0.5 * (est.gbar_star + est.gbar_lower)
+            bar = 0.5 * (est.gbar_star - est.gbar_lower)
+            env.samples.append({
+                "x": [float(c) for c in x],
+                "s": float(s),
+                "gbar": float(value),
+                "err": float(bar),
+                "kind": d.kind,
+                "equal": bool(est.equal),
+            })
+    env.factor_reuse = scope.counts()
     return env
 
 

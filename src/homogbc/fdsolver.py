@@ -17,9 +17,12 @@ Masked Dirichlet grids and the periodic cell problem on a torus are the
 same DiscreteProblem, solved by Howard policy iteration: freeze the
 optimizing member at each node, solve the resulting linear system
 (sparse direct, BiCGSTAB for large 3-d systems), and re-optimize until
-the nonlinear residual is below tolerance.
+the nonlinear residual is below tolerance.  Inside a ``factor_reuse``
+scope the sparse LU of the last linear system is kept, and a later
+linear system with exactly the same matrix is served by a back-solve.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -32,7 +35,7 @@ __all__ = [
     "EXTERIOR", "BOUNDARY", "INTERIOR",
     "GridField", "DiscreteProblem", "CertificateError", "SolveError",
     "frames_for", "monotone_weights", "discretize", "discretize_cell",
-    "solve_dirichlet",
+    "solve_dirichlet", "factor_reuse",
     "comparison_check", "oscillation_decay_probe",
 ]
 
@@ -487,8 +490,67 @@ def discretize_cell(op, M, delta, cell_grid):
         delta=float(delta))
 
 
-def _solve_sparse(A, rhs, dim):
-    """Solve L x = rhs for the assembled (negative-diagonal) M-matrix."""
+class FactorScope:
+    """The one retained LU of a ``factor_reuse`` scope and its counts."""
+
+    def __init__(self):
+        self.matrix = None
+        self.lu = None
+        self.factorizations = 0
+        self.reused_solves = 0
+
+    def solve(self, B, b):
+        """Back-solve with the retained LU when ``B`` is exactly its
+        matrix; otherwise drop it and factor ``B``.  ``splu`` with the
+        COLAMD ordering gives the same bits as ``spsolve``."""
+        M = self.matrix
+        if M is not None and M.shape == B.shape and \
+                np.array_equal(M.indptr, B.indptr) and \
+                np.array_equal(M.indices, B.indices) and \
+                np.array_equal(M.data, B.data):
+            self.reused_solves += 1
+        else:
+            self.matrix = self.lu = None
+            self.lu = spla.splu(B, permc_spec="COLAMD")
+            self.matrix = B
+            self.factorizations += 1
+        return self.lu.solve(b)
+
+    def counts(self):
+        return {"factorizations": self.factorizations,
+                "reused_solves": self.reused_solves}
+
+
+_scope = None
+
+
+@contextlib.contextmanager
+def factor_reuse():
+    """Keep the sparse LU of the last linear system for the next solve.
+
+    Yields the ``FactorScope``; a nested scope joins the outer one.
+    Leaving the outermost scope, by an exception too, frees the factor,
+    so no factor outlives the loop that reuses it.
+    """
+    global _scope
+    if _scope is not None:
+        yield _scope
+        return
+    _scope = FactorScope()
+    try:
+        yield _scope
+    finally:
+        _scope.matrix = _scope.lu = None
+        _scope = None
+
+
+def _solve_sparse(A, rhs, dim, linear=False):
+    """Solve L x = rhs for the assembled (negative-diagonal) M-matrix.
+
+    A ``linear`` system (its matrix does not depend on the iterate)
+    solved directly inside a ``factor_reuse`` scope goes through the
+    scope's retained LU.
+    """
     n = A.shape[0]
     B = (-A).tocsr()
     b = -rhs
@@ -496,16 +558,21 @@ def _solve_sparse(A, rhs, dim):
         x, info = spla.bicgstab(B, b, rtol=1e-12, atol=0.0, maxiter=2000)
         if info == 0:
             return x
+    elif linear and _scope is not None:
+        return _scope.solve(B.tocsc(), b)
     return spla.spsolve(B.tocsc(), b)
 
 
-def solve_dirichlet(p, tol=1e-8, max_iter=50):
+def solve_dirichlet(p, tol=1e-8, max_iter=50, start=None):
     """Solve a discrete problem by Howard policy iteration.
 
     Serves masked Dirichlet grids and the periodic cell problem alike.
     Freezes the optimizing member at each node, solves the frozen
     linear system exactly, and re-optimizes; for linear operators this
     is a single solve.  Deterministic: ties pick the lowest index.
+    The first iterate takes its interior values from the GridField
+    ``start`` if given (e.g. the solution of a nearby problem on the
+    same grid), else the mean of the boundary ring.
 
     Returns (GridField, record).  Raises SolveError with the residual
     history if max_iter is exceeded or the policy repeats above 10*tol.
@@ -513,8 +580,12 @@ def solve_dirichlet(p, tol=1e-8, max_iter=50):
     grid = p.grid.copy()
     u = grid.values.ravel()
     ring = grid.mask.ravel() == BOUNDARY
-    if ring.any():
+    if start is not None:
+        u[p.int_flat] = start.values.ravel()[p.int_flat]
+    elif ring.any():
         u[p.int_flat] = float(np.mean(u[ring]))
+    linear = len(p.members) == 1 and all(
+        up is down for up, down in p.members[0].values())
     history = []
     prev_pick = None
     converged = False
@@ -522,7 +593,7 @@ def solve_dirichlet(p, tol=1e-8, max_iter=50):
         d2 = p.second_diffs(u)
         _, weights = p._extremum(d2, want_policy=True)
         A, rhs = p.assemble(weights)
-        x = _solve_sparse(A, rhs, grid.dim)
+        x = _solve_sparse(A, rhs, grid.dim, linear=linear)
         u[p.int_flat] = x
         res = float(np.max(np.abs(p.residual(u))))
         history.append(res)

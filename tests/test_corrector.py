@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from homogbc import corrector
+from homogbc import corrector, fdsolver
 from homogbc.corrector import (build_strip, cell_average, estimate_gbar,
                                ray_limit, rotation_frame, solve_corrector)
 from homogbc.operators import SourceAndBoundaryData, laplacian, pucci_plus
@@ -131,3 +131,82 @@ def test_cell_average_richardson():
     rep = cell_average(data.g, x0=np.zeros(2), quadrature_n=64)
     assert rep["value"] == pytest.approx(0.25, abs=1e-10)
     assert rep["richardson_err"] <= 1e-10
+
+
+def _count_splu(monkeypatch):
+    calls = {"splu": 0}
+    splu = fdsolver.spla.splu
+
+    def counted(*args, **kwargs):
+        calls["splu"] += 1
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(fdsolver.spla, "splu", counted)
+    return calls
+
+
+def test_estimate_gbar_factors_linear_strip_once(monkeypatch):
+    # every strip of a Laplace estimate has one matrix: one LU serves
+    # both epsilons and both top-value passes, with spsolve's bits
+    calls = _count_splu(monkeypatch)
+    data = SourceAndBoundaryData.from_exprs(
+        "cos(2*pi*y1)*cos(2*pi*y2) + 0.25", "0", dim=2, period=(1.0, 1.0))
+    est = estimate_gbar(np.zeros(2), NU_IRR, [0.25, 0.125], 4.0, 12.0, 1 / 16,
+                        data, laplacian())
+    assert calls["splu"] == 1
+    assert fdsolver._scope is None
+    for rec in est.per_eps:
+        p = build_strip(np.zeros(2), NU_IRR, rec["eps"], 4.0, 12.0, 1 / 16,
+                        data, laplacian())
+        alpha, err, _ = ray_limit(p, solve_corrector(p))
+        assert alpha == rec["alpha"]
+        assert err == rec["err"]
+    assert calls["splu"] == 1
+
+
+def test_pucci_strip_retains_no_factor(monkeypatch):
+    calls = _count_splu(monkeypatch)
+    data = SourceAndBoundaryData.from_exprs("cos(2*pi*y1)*cos(2*pi*y2)", "0",
+                                            dim=2, period=(1.0, 1.0))
+    p = build_strip(np.zeros(2), NU_IRR, 1 / 8, 2.0, 8.0, 1 / 8, data,
+                    pucci_plus(1.0, 2.0))
+    with fdsolver.factor_reuse() as scope:
+        solve_corrector(p)
+        assert scope.lu is None and scope.matrix is None
+    assert scope.counts() == {"factorizations": 0, "reused_solves": 0}
+    assert calls["splu"] == 0
+
+
+def test_second_pass_starts_from_first(monkeypatch):
+    # only the top value moves between the passes, so the second pass
+    # starts from the first's field and needs fewer Howard iterations
+    runs = []
+    solve = corrector.solve_dirichlet
+
+    def recorded(prob, **kwargs):
+        grid, rec = solve(prob, **kwargs)
+        cold, cold_rec = solve(prob, tol=kwargs["tol"])
+        runs.append((kwargs.get("start"), grid, rec["iterations"],
+                     cold, cold_rec["iterations"]))
+        return grid, rec
+
+    monkeypatch.setattr(corrector, "solve_dirichlet", recorded)
+    data = SourceAndBoundaryData.from_exprs("cos(2*pi*y1)*cos(2*pi*y2)", "0",
+                                            dim=2, period=(1.0, 1.0))
+    p = build_strip(np.zeros(2), NU_IRR, 1 / 8, 4.0, 12.0, 1 / 16, data,
+                    pucci_plus(1.0, 2.0))
+    solve_corrector(p)
+    (start1, grid1, _, _, _), (start2, grid2, warm, cold, cold_its) = runs
+    assert start1 is None and start2 is grid1
+    assert warm < cold_its
+    assert np.max(np.abs(grid2.values - cold.values)) <= 1e-8
+
+
+def test_strip_in_3d():
+    # the datum varies along the second tangential axis only
+    g = lambda y: 0.5 * np.cos(2 * math.pi * np.asarray(y)[..., 1]) ** 2
+    p = build_strip(np.array([0.0, 0.125, 0.0]), np.array([0.0, 0.0, 1.0]),
+                    0.5, 1.0, 2.0, 0.25, g, laplacian(3))
+    assert p.g_sup >= 0.49
+    sol = solve_corrector(p)
+    assert 0.0 <= sol.alpha <= 0.5

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from homogbc import corrector as corr
-from homogbc import effective
+from homogbc import effective, fdsolver
 from homogbc.effective import (OscillatingProblem, boundary_layer_compare,
                                build_envelopes, effective_sandwich,
                                sample_gbar_on_boundary,
@@ -191,3 +191,15 @@ def test_shrunken_domain_compare_constant(cosdata_problem):
     u, _ = solve_oscillating(p, h=1 / 128)
     rep, u_tilde = shrunken_domain_compare(p, u)
     assert rep["deviation"] < 1e-6
+
+
+def test_sample_gbar_reuses_linear_factors_in_scope(cosdata_problem):
+    env = sample_gbar_on_boundary(cosdata_problem, 5, [1 / 8, 1 / 16],
+                                  delta=0.5, T=2.0, L=8.0, h_strip=1 / 8,
+                                  offset=0.5)
+    counts = env.factor_reuse
+    assert len(env.samples) == 4
+    # 4 points x 2 eps x 2 passes, every one a linear strip solve
+    assert counts["factorizations"] + counts["reused_solves"] == 16
+    assert 1 <= counts["factorizations"] < 16
+    assert fdsolver._scope is None

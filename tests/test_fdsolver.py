@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from homogbc import fdsolver
 from homogbc.fdsolver import (INTERIOR, CertificateError, GridField,
                               comparison_check, discretize,
-                              discretize_cell, monotone_weights,
-                              oscillation_decay_probe, solve_dirichlet)
+                              discretize_cell, factor_reuse,
+                              monotone_weights, oscillation_decay_probe,
+                              solve_dirichlet)
 from homogbc.geometry import DomainSpec
 from homogbc.operators import laplacian, linear_operator, pucci_minus, pucci_plus
 
@@ -188,3 +190,21 @@ def test_oscillation_decay_probe():
     rep = oscillation_decay_probe(u, np.zeros(2), [0.1, 0.2, 0.4])
     assert rep["osc"][0] <= rep["osc"][1] <= rep["osc"][2]
     assert 0.0 < rep["gamma"] < 1.0
+
+
+def test_factor_reuse_scope_nests_and_frees_on_exception():
+    p = discretize(laplacian(), RECT, 1 / 16, boundary=_harmonic)
+    with pytest.raises(RuntimeError):
+        with factor_reuse() as scope:
+            u, _ = solve_dirichlet(p)
+            with factor_reuse() as inner:
+                assert inner is scope
+                v, _ = solve_dirichlet(p)
+            assert scope.lu is not None
+            raise RuntimeError("inside the scope")
+    assert fdsolver._scope is None
+    assert scope.lu is None and scope.matrix is None
+    assert scope.counts() == {"factorizations": 1, "reused_solves": 1}
+    w, _ = solve_dirichlet(p)
+    assert np.array_equal(u.values, v.values)
+    assert np.array_equal(u.values, w.values)
