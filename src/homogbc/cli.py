@@ -98,30 +98,7 @@ def _data_from(cfg, dim):
                                                 "period", ())))
 
 
-def _output_dir(cfg, args):
-    out = args.output_dir or os.environ.get("HOMOGBC_OUTPUT_DIR") \
-        or cfg.get("output_dir") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _manifest(out, command, cfg, t0, outputs):
-    _write_json(os.path.join(out, "manifest.json"), {
-        "command": command,
-        "config": cfg,
-        "versions": {
-            "homogbc": __version__,
-            "numpy": np.__version__,
-            "python": sys.version.split()[0],
-        },
-        "wall_time_s": time.time() - t0,
-        "outputs": outputs,
-    })
-
-
-def _cmd_solve(cfg, args):
-    out = _output_dir(cfg, args)
-    t0 = time.time()
+def _cmd_solve(cfg, out):
     dom = _domain_from(cfg["domain"])
     op = _operator_from(cfg["operator"])
     data = _data_from(cfg, dom.dim)
@@ -132,13 +109,10 @@ def _cmd_solve(cfg, args):
     _write_json(os.path.join(out, "solve.json"), {
         "record": rec, "epsilon": cfg["epsilon"], "h": cfg["h"],
     })
-    _manifest(out, "solve", cfg, t0, ["solution.grid", "solve.json"])
-    return EXIT_OK
+    return EXIT_OK, ["solution.grid", "solve.json"]
 
 
-def _cmd_corrector(cfg, args):
-    out = _output_dir(cfg, args)
-    t0 = time.time()
+def _cmd_corrector(cfg, out):
     op = _operator_from(cfg["operator"])
     data = _data_from(cfg, op.dim)
     nu = classify_direction(np.asarray(cfg["nu"], float)
@@ -158,14 +132,10 @@ def _cmd_corrector(cfg, args):
         "truncation_bound": sol.truncation_bound,
         "nu": nu.to_record(),
     })
-    _manifest(out, "corrector", cfg, t0,
-              ["profile.csv", "corrector.grid", "corrector.json"])
-    return EXIT_OK
+    return EXIT_OK, ["profile.csv", "corrector.grid", "corrector.json"]
 
 
-def _cmd_gbar(cfg, args):
-    out = _output_dir(cfg, args)
-    t0 = time.time()
+def _cmd_gbar(cfg, out):
     op = _operator_from(cfg["operator"])
     data = _data_from(cfg, op.dim)
     strip = cfg.get("strip", {})
@@ -201,13 +171,10 @@ def _cmd_gbar(cfg, args):
                ["x1", "x2", "s_or_eps", "gbar_or_alpha", "err", "kind"][
                    :len(rows[0])] if rows else ["empty"], rows)
     _write_json(os.path.join(out, "gbar.json"), {"records": records})
-    _manifest(out, "gbar", cfg, t0, ["gbar.csv", "gbar.json"])
-    return EXIT_OK
+    return EXIT_OK, ["gbar.csv", "gbar.json"]
 
 
-def _cmd_equidist(cfg, args):
-    out = _output_dir(cfg, args)
-    t0 = time.time()
+def _cmd_equidist(cfg, out):
     nu = classify_direction(
         np.asarray(cfg["nu"], float) / np.linalg.norm(cfg["nu"]),
         max_denominator=cfg.get("max_denominator", 10 ** 4))
@@ -219,24 +186,19 @@ def _cmd_equidist(cfg, args):
                ["R", "A", "N", "ratio"], rows)
     _write_json(os.path.join(out, "equidist.json"),
                 {"direction": nu.to_record(), "delta": cfg["delta"]})
-    _manifest(out, "equidist", cfg, t0, ["equidist.csv", "equidist.json"])
-    return EXIT_OK
+    return EXIT_OK, ["equidist.csv", "equidist.json"]
 
 
-def _cmd_audit(cfg, args):
-    out = _output_dir(cfg, args)
-    t0 = time.time()
+def _cmd_audit(cfg, out):
     dom = _domain_from(cfg["domain"])
     report = iddc_audit(dom, samples=cfg.get("samples", 360),
                         max_denominator=cfg.get("max_denominator", 100))
     _write_json(os.path.join(out, "audit.json"), report)
-    _manifest(out, "audit", cfg, t0, ["audit.json"])
-    return EXIT_OK if report["iddc_plausible"] else EXIT_VERDICT_FALSE
+    return (EXIT_OK if report["iddc_plausible"] else EXIT_VERDICT_FALSE,
+            ["audit.json"])
 
 
-def _cmd_barriers(cfg, args):
-    out = _output_dir(cfg, args)
-    t0 = time.time()
+def _cmd_barriers(cfg, out):
     n = int(cfg.get("n", 2))
     lam, Lam = cfg["lam"], cfg["Lam"]
     reports = {}
@@ -267,13 +229,10 @@ def _cmd_barriers(cfg, args):
         except (StabilityError, DegenerateBarrier) as e:
             reports[kind] = {"error": str(e)}
     _write_json(os.path.join(out, "barriers.json"), reports)
-    _manifest(out, "barriers", cfg, t0, ["barriers.json"])
-    return EXIT_OK if ok else EXIT_VERDICT_FALSE
+    return EXIT_OK if ok else EXIT_VERDICT_FALSE, ["barriers.json"]
 
 
-def _cmd_homogenize(cfg, args):
-    out = _output_dir(cfg, args)
-    t0 = time.time()
+def _cmd_homogenize(cfg, out):
     dom = _domain_from(cfg["domain"])
     op = _operator_from(cfg["operator"])
     data = _data_from(cfg, dom.dim)
@@ -316,22 +275,21 @@ def _cmd_homogenize(cfg, args):
         u_minus.dump(os.path.join(out, "u_minus.grid"))
         for eps, u in fields.items():
             u.dump(os.path.join(out, f"u_eps_{eps:.6f}.grid"))
-    _manifest(out, "homogenize", cfg, t0,
-              ["convergence.csv", "envelope.csv", "verdict.json"])
-    return EXIT_OK if verdict.converged else EXIT_VERDICT_FALSE
+    return (EXIT_OK if verdict.converged else EXIT_VERDICT_FALSE,
+            ["convergence.csv", "envelope.csv", "verdict.json"])
 
 
-def _cmd_validate(cfg, args):
-    out = _output_dir(cfg, args)
-    t0 = time.time()
+def _cmd_validate(cfg, out):
     op = _operator_from(cfg["operator"])
     report = validate_operator(op, samples=cfg.get("samples", 200),
                                seed=cfg.get("seed", 0))
     _write_json(os.path.join(out, "validate.json"), report)
-    _manifest(out, "validate", cfg, t0, ["validate.json"])
-    return EXIT_OK if report["ok"] else EXIT_VERDICT_FALSE
+    return EXIT_OK if report["ok"] else EXIT_VERDICT_FALSE, ["validate.json"]
 
 
+# Each command takes the config and the output directory and returns its
+# exit code with the names of the files it wrote; ``main`` writes the
+# manifest.
 _COMMANDS = {
     "solve": _cmd_solve,
     "corrector": _cmd_corrector,
@@ -365,15 +323,19 @@ def main(argv=None):
         print(f"config error: {args.config} line {e.lineno} col {e.colno}: "
               f"{e.msg}", file=sys.stderr)
         return EXIT_CONFIG
+    out = args.output_dir or os.environ.get("HOMOGBC_OUTPUT_DIR") \
+        or cfg.get("output_dir") or "."
+    os.makedirs(out, exist_ok=True)
+    t0 = time.perf_counter()
     try:
-        return _COMMANDS[args.command](cfg, args)
+        code, outputs = _COMMANDS[args.command](cfg, out)
     except (ConfigError, KeyError) as e:
         field = e.args[0] if isinstance(e, KeyError) else str(e)
         print(f"config error: missing or invalid field: {field}",
               file=sys.stderr)
         return EXIT_CONFIG
     except (SolveError, CertificateError, NoNearIntegerPoint,
-            StabilityError, DegenerateBarrier) as e:
+            StabilityError, DegenerateBarrier, eff.EnvelopeError) as e:
         payload = {"error": type(e).__name__, "message": str(e)}
         hist = getattr(e, "history", None)
         if hist is not None:
@@ -383,6 +345,18 @@ def main(argv=None):
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    _write_json(os.path.join(out, "manifest.json"), {
+        "command": args.command,
+        "config": cfg,
+        "versions": {
+            "homogbc": __version__,
+            "numpy": np.__version__,
+            "python": sys.version.split()[0],
+        },
+        "wall_time_s": time.perf_counter() - t0,
+        "outputs": outputs,
+    })
+    return code
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ from .geometry import Direction, DomainSpec, classify_direction
 __all__ = [
     "HalfspaceCorrectorProblem", "OscillationProfile", "CorrectorSolution",
     "GbarEstimate", "rotation_frame", "build_strip", "solve_corrector",
-    "ray_limit", "estimate_gbar", "cell_average",
+    "ray_limit", "estimate_gbar",
 ]
 
 
@@ -120,7 +120,7 @@ class CorrectorSolution:
     tol: float
 
 
-def build_strip(x0, nu, epsilon, T, L, h, data, op, y0_shift=None, seed=0):
+def build_strip(x0, nu, epsilon, T, L, h, data, op, seed=0):
     """Construct the truncated corrector problem.
 
     ``nu`` is the inward normal (a vector or Direction); ``data`` is a
@@ -142,8 +142,6 @@ def build_strip(x0, nu, epsilon, T, L, h, data, op, y0_shift=None, seed=0):
     T = round(T / h) * h
     L = round(L / (2 * h)) * 2 * h
     y0 = x0 / epsilon
-    if y0_shift is not None:
-        y0 = y0 + np.asarray(y0_shift, dtype=float)
     Q = rotation_frame(d.nu)
     if callable(data) and not hasattr(data, "g"):
         gfun = data
@@ -151,7 +149,7 @@ def build_strip(x0, nu, epsilon, T, L, h, data, op, y0_shift=None, seed=0):
     else:
         gfun = lambda y, _d=data: np.asarray(_d.g(  # noqa: E731
             np.broadcast_to(x0, np.shape(y)), y), dtype=float)
-        g_sup = data.norm_estimates(x0=x0)["g_sup"]
+        g_sup = data.g_sup(x0)
     if g_sup is None:  # probe a line along every tangential axis
         t = np.linspace(0, 64, 4096)[:, None]
         g_sup = max(float(np.max(np.abs(gfun(y0 + t * Q[:, k]))))
@@ -332,14 +330,13 @@ class GbarEstimate:
         }
 
 
-def estimate_gbar(x0, nu, eps_list, T, L, h, data, op, equality_tol=None,
-                  tol=1e-8, seed=0):
+def estimate_gbar(x0, nu, eps_list, T, L, h, data, op, tol=1e-8, seed=0):
     """Run ray limits over an epsilon list and compare the extremes.
 
     gbar_star = max over eps of (alpha + err); gbar_lower = min of
     (alpha - err); the sides are declared equal iff the alpha spread is
-    <= 2 max(err) + equality_tol (default: max(err), making the total
-    band 3x the combined error bar).  When equal, gbar = mean alpha.
+    <= 2 max(err) + equality_tol with equality_tol = max(err), making the
+    total band 3x the combined error bar.  When equal, gbar = mean alpha.
     """
     if len(eps_list) < 2:
         raise ValueError("need at least two epsilon values")
@@ -359,10 +356,8 @@ def estimate_gbar(x0, nu, eps_list, T, L, h, data, op, equality_tol=None,
     alphas = [r["alpha"] for r in recs]
     errs = [r["err"] for r in recs]
     spread = max(alphas) - min(alphas)
-    max_err = max(errs)
-    if equality_tol is None:
-        equality_tol = max_err
-    equal = bool(spread <= 2 * max_err + equality_tol)
+    equality_tol = max(errs)
+    equal = bool(spread <= 3 * equality_tol)
     est = GbarEstimate(
         x0=np.asarray(x0, float),
         nu=nu if isinstance(nu, Direction) else classify_direction(nu),
@@ -375,32 +370,3 @@ def estimate_gbar(x0, nu, eps_list, T, L, h, data, op, equality_tol=None,
         flagged=flagged)
     return est
 
-
-def cell_average(g, x0=None, quadrature_n=64, period=(1.0, 1.0)):
-    """Midpoint tensor quadrature of g over one period cell.
-
-    ``g`` is g(x, y) (x frozen at x0) or a plain callable of y.
-    Richardson check: compares quadrature_n against 2*quadrature_n and
-    reports the difference.
-    """
-    period = tuple(period)
-    dim = len(period)
-
-    def ev(y):
-        if x0 is not None:
-            x = np.broadcast_to(np.asarray(x0, float), y.shape)
-            return np.asarray(g(x, y), dtype=float)
-        try:
-            return np.asarray(g(y), dtype=float)
-        except TypeError:
-            x = np.zeros_like(y)
-            return np.asarray(g(x, y), dtype=float)
-
-    def quad(n):
-        axes = [(np.arange(n) + 0.5) / n * p for p in period]
-        Y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        return float(np.mean(ev(Y)))
-
-    coarse = quad(quadrature_n)
-    fine = quad(2 * quadrature_n)
-    return {"value": fine, "richardson_err": abs(fine - coarse)}

@@ -17,21 +17,24 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import (Direction, DomainSpec, RATIONAL, classify_direction,
-                       in_D_delta)
+from .geometry import DomainSpec, RATIONAL, classify_direction, in_D_delta
 from .operators import (EllipticOperatorSpec, SourceAndBoundaryData,
                         pucci_plus)
 from .fdsolver import (INTERIOR, CertificateError, discretize, factor_reuse,
                        solve_dirichlet)
-from .barriers import DegenerateBarrier, exponent_exterior
 from . import corrector as corr
 
 __all__ = [
     "OscillatingProblem", "BoundaryEnvelope", "SandwichVerdict",
     "solve_oscillating", "boundary_layer_compare",
     "sample_gbar_on_boundary", "build_envelopes", "effective_sandwich",
-    "shrunken_domain_compare",
+    "EnvelopeError",
 ]
+
+
+class EnvelopeError(ValueError):
+    """The boundary samples cannot carry envelopes: none survived, or
+    two nearby samples break delta-continuity."""
 
 
 @dataclass
@@ -193,7 +196,7 @@ def _rational_direction_balls(p, delta, radius, n_dense=4096):
     dom = p.domain
     n = dom.dim
     M = int(math.floor(1.0 / delta))
-    g_osc_tol = 0.02 * max(p.data.norm_estimates()["g_sup"], 1e-12)
+    g_osc_tol = 0.02 * max(p.data.g_sup(), 1e-12)
     units = []
     for m in itertools.product(range(-M, M + 1), repeat=n):
         if not any(m):
@@ -238,7 +241,6 @@ def _rational_direction_balls(p, delta, radius, n_dense=4096):
 
 def sample_gbar_on_boundary(p, n_points, eps_list, delta, T=4.0, L=None,
                             h_strip=1 / 16, offset=0.0, tol=1e-8, seed=0,
-                            max_denominator=10 ** 4, excluded_radius=None,
                             reuse=None):
     """Estimate gbar at boundary points; exclude directions off D_delta.
 
@@ -256,9 +258,8 @@ def sample_gbar_on_boundary(p, n_points, eps_list, delta, T=4.0, L=None,
     pts, normals, arcs, total = p.domain.boundary_points(n_points,
                                                          offset=offset)
     env = BoundaryEnvelope(delta=float(delta), total_length=float(total))
-    env.g_sup = p.data.norm_estimates()["g_sup"]
-    if excluded_radius is None:
-        excluded_radius = delta * p.domain.diameter / 16.0
+    env.g_sup = p.data.g_sup()
+    excluded_radius = delta * p.domain.diameter / 16.0
     env.excluded = _rational_direction_balls(p, delta, excluded_radius)
     cache = {}
     if reuse is not None:
@@ -273,7 +274,7 @@ def sample_gbar_on_boundary(p, n_points, eps_list, delta, T=4.0, L=None,
                 env.samples.append(dict(hit))
                 continue
             try:
-                d = classify_direction(nu_in, max_denominator=max_denominator)
+                d = classify_direction(nu_in)
             except ValueError as e:  # degenerate normal, e.g. a corner
                 env.notes.append(f"classification failed at s={s:.4f}: {e}")
                 env.excluded.append({"z": [float(c) for c in x],
@@ -330,7 +331,7 @@ def _mollify_periodic(s, vals, total, radius):
     return out
 
 
-def build_envelopes(p, env, mollifier_radius=None, bump_h=None, tol=1e-8):
+def build_envelopes(p, env, mollifier_radius=None, tol=1e-8):
     """Complete an envelope: delta-continuity check, mollified h+/-.
 
     h+/- are the mollified samples shifted by +/-(delta + slack) and
@@ -338,7 +339,7 @@ def build_envelopes(p, env, mollifier_radius=None, bump_h=None, tol=1e-8):
     on the excluded boundary balls.  Both are capped at 3||g||.
     """
     if not env.samples:
-        raise ValueError("no boundary samples to build envelopes from")
+        raise EnvelopeError("no boundary samples to build envelopes from")
     order = np.argsort([sm["s"] for sm in env.samples])
     samples = [env.samples[i] for i in order]
     s = np.array([sm["s"] for sm in samples])
@@ -360,7 +361,7 @@ def build_envelopes(p, env, mollifier_radius=None, bump_h=None, tol=1e-8):
             if _in_excluded(samples[j]["x"], env.excluded):
                 continue
             if abs(vals[i] - vals[j]) > env.delta + bars[i] + bars[j] + tol:
-                raise ValueError(
+                raise EnvelopeError(
                     "delta-continuity violated between boundary points "
                     f"s={s[i]:.4f} and s={s[j]:.4f}: "
                     f"|{vals[i]:.4f} - {vals[j]:.4f}| > delta={env.delta:g}")
@@ -372,9 +373,8 @@ def build_envelopes(p, env, mollifier_radius=None, bump_h=None, tol=1e-8):
     v_field = None
     v_sup_K = 0.0
     if env.excluded:
-        if bump_h is None:
-            bump_h = max(min(b["r"] for b in env.excluded) / 2.0,
-                         p.domain.diameter / 256.0)
+        bump_h = max(min(b["r"] for b in env.excluded) / 2.0,
+                     p.domain.diameter / 256.0)
         excl = list(env.excluded)
 
         def bump_data(x):
@@ -449,10 +449,11 @@ class SandwichVerdict:
         }
 
 
-def effective_sandwich(p, env, eps_list, h_pm, h_for_eps=None, K_scale=2 / 3,
-                       fbar_op=None, tol=1e-6):
+def effective_sandwich(p, env, eps_list, h_pm, K_scale=2 / 3, fbar_op=None,
+                       tol=1e-6):
     """Solve the effective problems with envelope data and check the
-    sandwich u- <= u_eps <= u+ on the concentric K_scale copy of D.
+    sandwich u- <= u_eps <= u+ on the concentric K_scale copy of D; each
+    u_eps is solved on a grid of spacing eps/8.
 
     fbar_op defaults to the problem operator when it has no fast
     variable (including linear constant coefficients); otherwise it
@@ -482,7 +483,7 @@ def effective_sandwich(p, env, eps_list, h_pm, h_for_eps=None, K_scale=2 / 3,
     all_ok = True
     for eps in sorted(eps_list, reverse=True):
         q = OscillatingProblem(p.domain, eps, p.operator, p.data)
-        h = h_for_eps(eps) if h_for_eps is not None else eps / 8.0
+        h = eps / 8.0
         u, _ = solve_oscillating(q, h, tol=tol)
         fields[eps] = u
         X = u.coords()[u.mask == INTERIOR]
@@ -522,47 +523,3 @@ def effective_sandwich(p, env, eps_list, h_pm, h_for_eps=None, K_scale=2 / 3,
                               converged=bool(converged), notes=notes)
     return verdict, u_plus, u_minus, fields
 
-
-def shrunken_domain_compare(p, u_eps, q=0.75, tol=1e-8):
-    """Re-solve with boundary data read at inward offsets eps^q.
-
-    Reports the sup deviation on the shrunken domain D_eps against the
-    exterior-barrier scale r0^(-a) - (r0 + eps^q)^(-a); the bound is
-    unavailable in the degenerate (logarithmic) case.
-    """
-    if not (0.5 < q < 1.0):
-        raise ValueError("need q in (1/2, 1)")
-    t = p.epsilon ** q
-    dom = p.domain
-
-    def shifted(x):
-        x = np.asarray(x, float)
-        nv = np.stack([dom.normal(xi) for xi in x.reshape(-1, x.shape[-1])])
-        z = x.reshape(-1, x.shape[-1]) - t * nv
-        vals = u_eps.interpolate(z)
-        vals = np.where(np.isnan(vals), p.boundary_values(x.reshape(
-            -1, x.shape[-1])), vals)
-        return vals.reshape(x.shape[:-1])
-
-    prob = discretize(p.operator, dom, u_eps.h, boundary=shifted,
-                      source=p.data.source, epsilon=p.epsilon)
-    u_tilde, _ = solve_dirichlet(prob, tol=tol)
-    inside = (u_eps.mask == INTERIOR) & (u_tilde.mask == INTERIOR)
-    X = u_eps.coords()
-    deep = inside & (dom.sdf(X) < -t)
-    dev = float(np.max(np.abs(u_tilde.values[deep] - u_eps.values[deep]))) \
-        if deep.any() else math.nan
-    report = {"epsilon": p.epsilon, "q": q, "offset": t, "deviation": dev,
-              "n_points": int(deep.sum())}
-    try:
-        a = exponent_exterior(dom.dim, p.operator.lam, p.operator.Lam)
-        r0 = dom.diameter / 2.0
-        scale = r0 ** (-a) - (r0 + t) ** (-a)
-        report["alpha"] = a
-        report["scale"] = scale
-        report["C_fit"] = dev / scale if scale > 0 else math.inf
-    except DegenerateBarrier as e:
-        report["alpha"] = None
-        report["scale"] = None
-        report["note"] = f"bound unavailable: {e}"
-    return report, u_tilde

@@ -79,24 +79,24 @@ def compile_expression(text, variables):
 
 
 def compile_field(text, dim, prefixes=("y",)):
-    """Compile an expression of point coordinates into ``f(points)``.
+    """Compile an expression of point coordinates into ``f(*points)``.
 
-    ``points`` has shape ``(..., dim)``; each prefix ``p`` exposes the
-    coordinates as ``p1..p<dim>`` (all prefixes alias the same point, so
-    a boundary datum written in either x or y works).
+    ``f`` takes one array of shape ``(..., dim)`` per prefix, in order;
+    prefix ``p`` exposes the coordinates of its own array as
+    ``p1..p<dim>`` (with ``("x", "y")``, x1 reads the first array and y1
+    the second).  The result has the broadcast shape of the points.
     """
     names = [f"{p}{i + 1}" for p in prefixes for i in range(dim)]
     inner = compile_expression(text, names)
 
-    def fn(points):
-        points = np.asarray(points, dtype=float)
-        env = {}
-        for p in prefixes:
-            for i in range(dim):
-                env[f"{p}{i + 1}"] = points[..., i]
-        out = inner(**env)
-        return np.broadcast_to(np.asarray(out, dtype=float),
-                               points.shape[:-1]).copy()
+    def fn(*points):
+        points = [np.asarray(pts, dtype=float) for pts in points]
+        env = {f"{p}{i + 1}": pts[..., i]
+               for p, pts in zip(prefixes, points, strict=True)
+               for i in range(dim)}
+        shape = np.broadcast_shapes(*(pts.shape[:-1] for pts in points))
+        return np.broadcast_to(np.asarray(inner(**env), dtype=float),
+                               shape).copy()
 
     fn.source = text
     return fn

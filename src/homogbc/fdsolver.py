@@ -36,7 +36,7 @@ __all__ = [
     "GridField", "DiscreteProblem", "CertificateError", "SolveError",
     "frames_for", "monotone_weights", "discretize", "discretize_cell",
     "solve_dirichlet", "factor_reuse",
-    "comparison_check", "oscillation_decay_probe",
+    "comparison_check",
 ]
 
 EXTERIOR, BOUNDARY, INTERIOR = 0, 1, 2
@@ -47,7 +47,7 @@ class CertificateError(ValueError):
 
 
 class SolveError(RuntimeError):
-    """Iteration cap exceeded; carries the residual history."""
+    """Howard or Krylov iteration failed; carries the residual history."""
 
     def __init__(self, message, history=()):
         super().__init__(message)
@@ -549,21 +549,27 @@ def _solve_sparse(A, rhs, dim, linear=False):
 
     A ``linear`` system (its matrix does not depend on the iterate)
     solved directly inside a ``factor_reuse`` scope goes through the
-    scope's retained LU.
+    scope's retained LU.  Large systems take BiCGSTAB only; a Krylov
+    failure raises SolveError rather than falling back to a direct
+    solve of the same size.
     """
     n = A.shape[0]
     B = (-A).tocsr()
     b = -rhs
     if n > 400_000 or (dim >= 3 and n > 60_000):
         x, info = spla.bicgstab(B, b, rtol=1e-12, atol=0.0, maxiter=2000)
-        if info == 0:
-            return x
-    elif linear and _scope is not None:
+        if info != 0:
+            raise SolveError(f"BiCGSTAB failed on {n} unknowns (info {info})")
+        return x
+    if linear and _scope is not None:
         return _scope.solve(B.tocsc(), b)
     return spla.spsolve(B.tocsc(), b)
 
 
-def solve_dirichlet(p, tol=1e-8, max_iter=50, start=None):
+MAX_POLICIES = 50
+
+
+def solve_dirichlet(p, tol=1e-8, start=None):
     """Solve a discrete problem by Howard policy iteration.
 
     Serves masked Dirichlet grids and the periodic cell problem alike.
@@ -575,7 +581,8 @@ def solve_dirichlet(p, tol=1e-8, max_iter=50, start=None):
     same grid), else the mean of the boundary ring.
 
     Returns (GridField, record).  Raises SolveError with the residual
-    history if max_iter is exceeded or the policy repeats above 10*tol.
+    history if MAX_POLICIES policies do not converge or the policy
+    repeats above 10*tol.
     """
     grid = p.grid.copy()
     u = grid.values.ravel()
@@ -589,7 +596,7 @@ def solve_dirichlet(p, tol=1e-8, max_iter=50, start=None):
     history = []
     prev_pick = None
     converged = False
-    for it in range(max_iter):
+    for _ in range(MAX_POLICIES):
         d2 = p.second_diffs(u)
         _, weights = p._extremum(d2, want_policy=True)
         A, rhs = p.assemble(weights)
@@ -646,34 +653,3 @@ def comparison_check(p, u, v, tol=1e-8):
         "tol": tol,
     }
 
-
-def oscillation_decay_probe(u, center, radii):
-    """Oscillation of u over concentric balls and fitted contraction.
-
-    Returns per-radius osc and the per-halving factor gamma fitted from
-    a log-log slope (gamma = 2^{-slope}); gamma = 0 when the field is
-    constant on all balls.
-    """
-    radii = sorted(float(r) for r in radii)
-    if len(radii) < 2:
-        raise ValueError("need at least two radii")
-    center = np.asarray(center, dtype=float)
-    X = u.coords()
-    dist = np.linalg.norm(X - center, axis=-1)
-    inside = u.mask == INTERIOR
-    osc = []
-    for r in radii:
-        sel = inside & (dist <= r)
-        if not sel.any():
-            raise ValueError(f"ball of radius {r} has no interior nodes")
-        vals = u.values[sel]
-        osc.append(float(vals.max() - vals.min()))
-    pos = [(r, o) for r, o in zip(radii, osc) if o > 1e-14]
-    if len(pos) < 2:
-        gamma = 0.0
-    else:
-        lr = np.log([r for r, _ in pos])
-        lo_ = np.log([o for _, o in pos])
-        slope = float(np.polyfit(lr, lo_, 1)[0])
-        gamma = float(2.0 ** (-slope))
-    return {"radii": radii, "osc": osc, "gamma": gamma}

@@ -7,7 +7,8 @@ homogeneous and degenerate-elliptic monotone, which is what the monotone
 finite-difference schemes downstream rely on.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -80,18 +81,30 @@ class EllipticOperatorSpec:
         if not self.period:
             object.__setattr__(self, "period", (1.0,) * self.dim)
 
+    def _probe_points(self):
+        """The origin and five points on the diagonal of the period cell."""
+        return np.concatenate([np.zeros((1, self.dim)),
+                               np.linspace(0.07, 0.93, 5)[:, None]
+                               * np.asarray(self.period)[None, :]])
+
     @property
     def y_dependent(self):
         if self.kind in ("pucci_plus", "pucci_minus"):
             return False
         if self.kind == "linear":
             # constant-coefficient operators count as y-independent
-            pts = np.concatenate([np.zeros((1, self.dim)),
-                                  np.linspace(0.07, 0.93, 5)[:, None]
-                                  * np.asarray(self.period)[None, :]])
-            a = self.coefficients(pts)
+            a = self.coefficients(self._probe_points())
             return bool(np.max(np.abs(a - a[0])) > 1e-12)
         return any(m.y_dependent for m in self.members)
+
+    @functools.cached_property
+    def _isotropic(self):
+        """A linear kind whose coefficients are one constant multiple of
+        I at the probe points, hence invariant under rotation."""
+        if self.kind != "linear":
+            return False
+        a = np.asarray(self.coeff(self._probe_points()), dtype=float)
+        return bool(np.all(a == a.flat[0] * np.eye(self.dim)))
 
     def coefficients(self, y):
         """Coefficient matrices a(y) for the linear kind, shape (...,n,n)."""
@@ -121,10 +134,12 @@ class EllipticOperatorSpec:
         """The operator acting on Hessians expressed in a rotated frame.
 
         For F(Q Mtilde Q^T, y): Pucci operators are rotation invariant;
-        linear coefficients transform as a -> Q^T a Q.
+        linear coefficients transform as a -> Q^T a Q, except multiples
+        of I, which are returned as they are (so rotating the Laplacian
+        gives the same bits in every frame).
         """
         Q = np.asarray(Q, dtype=float)
-        if self.kind in ("pucci_plus", "pucci_minus"):
+        if self.kind in ("pucci_plus", "pucci_minus") or self._isotropic:
             return self
         if self.kind == "linear":
             base = self.coeff
@@ -205,81 +220,39 @@ def linear_operator(exprs, lam, Lam, dim=2, period=()):
 class SourceAndBoundaryData:
     """Source f(x, y) and boundary datum g(x, y), periodic in y.
 
-    ``g`` and ``f`` take (x_points, y_points) of shape (..., n).  Norm
-    estimates over one period cell are computed by dense sampling.
+    ``g`` and ``f`` take (x_points, y_points) of shape (..., n): x is
+    the slow variable and y the fast one.
     """
     g: Callable
     f: Optional[Callable] = None
     period: tuple = (1.0, 1.0)
     g_expr: Optional[str] = None
     f_expr: Optional[str] = None
-    _norms: dict = field(default_factory=dict, repr=False)
 
     @staticmethod
     def from_exprs(g_expr, f_expr=None, dim=2, period=()):
-        gfn = compile_field(g_expr, dim, prefixes=("x", "y"))
-
-        def g(x, y):
-            del x  # datum of the fast variable only, in this grammar
-            return gfn(y)
-
-        f = None
-        if f_expr is not None:
-            ffn = compile_field(f_expr, dim, prefixes=("x", "y"))
-
-            def f(x, y):
-                del y
-                return ffn(x)
-
+        """Data from expressions in x1..xn (slow) and y1..yn (fast)."""
+        f = None if f_expr is None else \
+            compile_field(f_expr, dim, prefixes=("x", "y"))
         period = tuple(period) if period else (1.0,) * dim
-        return SourceAndBoundaryData(g=g, f=f, period=period,
-                                     g_expr=g_expr, f_expr=f_expr)
+        return SourceAndBoundaryData(
+            g=compile_field(g_expr, dim, prefixes=("x", "y")), f=f,
+            period=period, g_expr=g_expr, f_expr=f_expr)
 
     def source(self, x):
+        """f at the points x, with the fast variable read at y = x."""
         if self.f is None:
             return np.zeros(np.asarray(x, float).shape[:-1])
         return np.asarray(self.f(x, x), dtype=float)
 
-    def norm_estimates(self, x0=None, samples=96):
-        """sup |g|, sup |grad_y g|, sup |D2_y g| over one period cell."""
-        key = (None if x0 is None else tuple(np.asarray(x0, float)), samples)
-        if key in self._norms:
-            return self._norms[key]
-        dim = len(self.period)
-        axes = [np.linspace(0, p, samples, endpoint=False)
-                for p in self.period]
+    def g_sup(self, x0=None):
+        """sup |g(x0, y)| over one period cell, sampled on 96 points per
+        axis (x0 defaults to the origin)."""
+        axes = [np.linspace(0, p, 96, endpoint=False) for p in self.period]
         Y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         X = np.zeros_like(Y) if x0 is None else np.broadcast_to(
             np.asarray(x0, float), Y.shape).copy()
-        step = min(self.period) / samples
-
-        def ev(y):
-            return np.asarray(self.g(X, y), dtype=float)
-
-        g0 = ev(Y)
-        grad = np.zeros(Y.shape)
-        hess_sup = 0.0
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = step
-            gp, gm = ev(Y + e), ev(Y - e)
-            grad[..., i] = (gp - gm) / (2 * step)
-            hess_sup = max(hess_sup,
-                           float(np.max(np.abs(gp - 2 * g0 + gm))) / step**2)
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                ei = np.zeros(dim); ei[i] = step
-                ej = np.zeros(dim); ej[j] = step
-                mixed = (ev(Y + ei + ej) - ev(Y + ei - ej)
-                         - ev(Y - ei + ej) + ev(Y - ei - ej)) / (4 * step**2)
-                hess_sup = max(hess_sup, float(np.max(np.abs(mixed))))
-        out = {
-            "g_sup": float(np.max(np.abs(g0))),
-            "grad_sup": float(np.max(np.linalg.norm(grad, axis=-1))),
-            "hess_sup": hess_sup,
-        }
-        self._norms[key] = out
-        return out
+        return float(np.max(np.abs(np.asarray(self.g(X, Y), dtype=float))))
 
 
 def _random_spd_like(rng, dim, scale=1.0):
@@ -349,23 +322,19 @@ def validate_operator(op, samples=200, seed=0):
     return report
 
 
-def effective_operator_estimate(op, M, delta_ergodic=1e-3, cell_grid=64,
-                                max_policies=50):
+def effective_operator_estimate(op, M, cell_grid=64):
     """Estimate Fbar(M) from the approximate cell problem on the torus.
 
-    Solves delta*v - F(M + D^2 v, y) = 0 on a periodic grid by Howard
-    policy iteration (``solve_dirichlet``), to a residual of 1e-6
-    relative to that of v = 0, and returns the grid average of
-    delta*v with its spread.  Raises SolveError if it does not
-    converge.
+    Solves delta*v - F(M + D^2 v, y) = 0 with delta = 1e-3 on a periodic
+    grid by Howard policy iteration (``solve_dirichlet``), to a residual
+    of 1e-6 relative to that of v = 0, and returns the grid average of
+    delta*v with its spread.  Raises SolveError if it does not converge.
     """
-    if delta_ergodic <= 0:
-        raise ValueError("delta_ergodic must be positive")
-    p = discretize_cell(op, M, delta_ergodic, cell_grid)
+    delta = 1e-3
+    p = discretize_cell(op, M, delta, cell_grid)
     scale = float(np.max(np.abs(p.residual(np.zeros(p.n_interior)))))
-    v, rec = solve_dirichlet(p, tol=1e-6 * max(1.0, scale),
-                             max_iter=max_policies)
-    vals = delta_ergodic * v.values
+    v, rec = solve_dirichlet(p, tol=1e-6 * max(1.0, scale))
+    vals = delta * v.values
     return {
         "value": float(np.mean(vals)),
         "spread": float(np.max(vals) - np.min(vals)),

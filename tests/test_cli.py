@@ -165,3 +165,21 @@ def test_corrector_outputs(tmp_path):
     prof = (out / "profile.csv").read_text().strip().splitlines()
     assert prof[0] == "t,W"
     assert len(prof) == 9
+
+
+def test_envelope_failure_is_numerical_error(tmp_path, monkeypatch):
+    # no boundary sample survives: the envelope cannot be built, which
+    # is a numerical outcome, not a config error; no manifest is written
+    from homogbc import effective
+
+    monkeypatch.setattr(
+        effective, "sample_gbar_on_boundary",
+        lambda p, *args, **kwargs: effective.BoundaryEnvelope(delta=0.1))
+    code, out = _run(tmp_path, "homogenize", {
+        "domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 0.9},
+        "operator": {"kind": "laplacian"},
+        "g": "cos(2*pi*y1)*cos(2*pi*y2)", "period": [1.0, 1.0],
+        "eps_list": [0.1, 0.05], "delta": 0.1,
+    })
+    assert code == EXIT_NUMERICAL
+    assert not (out / "manifest.json").exists()

@@ -7,8 +7,7 @@ from homogbc import corrector as corr
 from homogbc import effective, fdsolver
 from homogbc.effective import (OscillatingProblem, boundary_layer_compare,
                                build_envelopes, effective_sandwich,
-                               sample_gbar_on_boundary,
-                               shrunken_domain_compare, solve_oscillating)
+                               sample_gbar_on_boundary, solve_oscillating)
 from homogbc.fdsolver import SolveError
 from homogbc.geometry import DomainSpec
 from homogbc.operators import SourceAndBoundaryData, laplacian
@@ -186,20 +185,24 @@ def test_boundary_layer_compare_scales(cosdata_problem):
         boundary_layer_compare(cosdata_problem, u, x0, pq=(0.9, 0.95))
 
 
-def test_shrunken_domain_compare_constant(cosdata_problem):
-    p = OscillatingProblem(DISK, 1 / 16, laplacian(), _const_data(0.2))
-    u, _ = solve_oscillating(p, h=1 / 128)
-    rep, u_tilde = shrunken_domain_compare(p, u)
-    assert rep["deviation"] < 1e-6
-
-
 def test_sample_gbar_reuses_linear_factors_in_scope(cosdata_problem):
     env = sample_gbar_on_boundary(cosdata_problem, 5, [1 / 8, 1 / 16],
                                   delta=0.5, T=2.0, L=8.0, h_strip=1 / 8,
                                   offset=0.5)
     counts = env.factor_reuse
     assert len(env.samples) == 4
-    # 4 points x 2 eps x 2 passes, every one a linear strip solve
-    assert counts["factorizations"] + counts["reused_solves"] == 16
-    assert 1 <= counts["factorizations"] < 16
+    # 4 points x 2 eps x 2 passes, every one a linear strip solve, and
+    # the Laplace strips of every normal share one matrix
+    assert counts == {"factorizations": 1, "reused_solves": 15}
     assert fdsolver._scope is None
+
+
+@pytest.mark.parametrize("offset", [0.05, 0.35, 0.65, 0.95])
+def test_disk_sweep_factors_laplace_strip_once(cosdata_problem, offset):
+    # the 12-point sweep of the homogenize disk config: the rotated
+    # Laplacian is the Laplacian, so one factorization serves every strip
+    env = sample_gbar_on_boundary(cosdata_problem, 12, [1 / 8, 1 / 16],
+                                  delta=0.1, T=2.0, L=8.0, h_strip=1 / 8,
+                                  offset=offset)
+    assert env.samples
+    assert env.factor_reuse["factorizations"] == 1

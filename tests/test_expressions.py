@@ -3,6 +3,7 @@ import pytest
 
 from homogbc.expressions import (ExpressionError, compile_expression,
                                  compile_field)
+from homogbc.operators import SourceAndBoundaryData
 
 
 def test_basic_arithmetic():
@@ -43,5 +44,14 @@ def test_compile_field_broadcasts():
 
 
 def test_compile_field_alias_prefixes():
+    # each prefix reads its own array of points, in order
     f = compile_field("x1 + y2", dim=2, prefixes=("x", "y"))
-    assert f(np.array([1.0, 2.0])) == pytest.approx(3.0)
+    assert f(np.array([1.0, 2.0]), np.array([10.0, 20.0])) == 21.0
+    pts = f(np.zeros((4, 2)), np.array([0.0, 5.0]))
+    np.testing.assert_array_equal(pts, np.full(4, 5.0))
+
+
+def test_data_reads_x_slow_and_y_fast():
+    x, y = np.array([0.3, 0.0]), np.array([7.0, 0.0])
+    assert SourceAndBoundaryData.from_exprs("x1").g(x, y) == 0.3
+    assert SourceAndBoundaryData.from_exprs("y1").g(x, y) == 7.0

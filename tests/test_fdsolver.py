@@ -7,8 +7,7 @@ from homogbc import fdsolver
 from homogbc.fdsolver import (INTERIOR, CertificateError, GridField,
                               comparison_check, discretize,
                               discretize_cell, factor_reuse,
-                              monotone_weights, oscillation_decay_probe,
-                              solve_dirichlet)
+                              monotone_weights, SolveError, solve_dirichlet)
 from homogbc.geometry import DomainSpec
 from homogbc.operators import laplacian, linear_operator, pucci_minus, pucci_plus
 
@@ -183,13 +182,20 @@ def test_dump_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(v.values, u.values)
 
 
-def test_oscillation_decay_probe():
-    p = discretize(laplacian(), DomainSpec.disk((0.0, 0.0), 1.0), 1 / 32,
-                   boundary=lambda x: np.atleast_2d(x)[:, 0] ** 2)
-    u, _ = solve_dirichlet(p)
-    rep = oscillation_decay_probe(u, np.zeros(2), [0.1, 0.2, 0.4])
-    assert rep["osc"][0] <= rep["osc"][1] <= rep["osc"][2]
-    assert 0.0 < rep["gamma"] < 1.0
+def test_krylov_failure_raises_without_direct_fallback(monkeypatch):
+    # a 3-d system above the 60,000-unknown switch goes to BiCGSTAB
+    # only: a Krylov failure is a SolveError, never a direct solve
+    def no_direct(*args, **kwargs):
+        raise AssertionError("direct solve called")
+
+    monkeypatch.setattr(fdsolver.spla, "bicgstab",
+                        lambda B, b, **kwargs: (np.zeros_like(b), 2000))
+    monkeypatch.setattr(fdsolver.spla, "spsolve", no_direct)
+    monkeypatch.setattr(fdsolver.spla, "splu", no_direct)
+    n = 60_001
+    A = -fdsolver.sparse.identity(n, format="csr")
+    with pytest.raises(SolveError, match="BiCGSTAB"):
+        fdsolver._solve_sparse(A, -np.ones(n), dim=3, linear=True)
 
 
 def test_factor_reuse_scope_nests_and_frees_on_exception():

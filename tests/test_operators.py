@@ -139,6 +139,27 @@ def test_norm_estimates_present():
     from homogbc.operators import SourceAndBoundaryData
     data = SourceAndBoundaryData.from_exprs("cos(2*pi*y1)*cos(2*pi*y2)", "0",
                                             dim=2, period=(1.0, 1.0))
-    est = data.norm_estimates()
-    assert est["g_sup"] == pytest.approx(1.0, abs=0.01)
-    assert est["grad_sup"] > 0
+    assert data.g_sup() == 1.0
+    # x is the slow variable: frozen at x0, default the origin
+    slow = SourceAndBoundaryData.from_exprs("x1*cos(2*pi*y1)", "0")
+    assert slow.g_sup() == 0.0
+    assert slow.g_sup(np.array([0.5, 0.0])) == 0.5
+
+
+def test_rotated_multiple_of_identity_is_unchanged():
+    # Q^T (cI) Q = cI: returning the operator itself keeps the strip
+    # matrix bit-identical in every frame
+    iso = linear_operator({"a11": "2", "a22": "2"}, lam=2.0, Lam=2.0)
+    aniso = linear_operator({"a11": "2", "a22": "1"}, lam=1.0, Lam=2.0)
+    varying = linear_operator({"a11": "1.5 + 0.5*cos(2*pi*y1)",
+                               "a22": "1.5 + 0.5*cos(2*pi*y1)"},
+                              lam=1.0, Lam=2.0)
+    for th in np.linspace(0.1, 3.0, 12):
+        Q = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        for op in (laplacian(), iso):
+            assert op.rotated(Q) is op
+        for op in (aniso, varying):
+            assert op.rotated(Q) is not op
+    lap3 = laplacian(3)
+    Q3 = np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3) + np.eye(3))[0]
+    assert lap3.rotated(Q3) is lap3
