@@ -337,6 +337,7 @@ def estimate_gbar(x0, nu, eps_list, T, L, h, data, op, tol=1e-8, seed=0):
     (alpha - err); the sides are declared equal iff the alpha spread is
     <= 2 max(err) + equality_tol with equality_tol = max(err), making the
     total band 3x the combined error bar.  When equal, gbar = mean alpha.
+    Raises SolveError if a ray limit leaves [-sup|g|, sup|g|].
     """
     if len(eps_list) < 2:
         raise ValueError("need at least two epsilon values")
@@ -347,8 +348,8 @@ def estimate_gbar(x0, nu, eps_list, T, L, h, data, op, tol=1e-8, seed=0):
             p = build_strip(x0, nu, eps, T, L, h, data, op, seed=seed)
             alpha, err, rec = ray_limit(p, tol=tol)
             if abs(alpha) > p.g_sup + 10 * tol + 1e-9:
-                raise RuntimeError(f"|alpha| = {abs(alpha):g} exceeds "
-                                   f"sup|g| = {p.g_sup:g}")
+                raise fdsolver.SolveError(f"|alpha| = {abs(alpha):g} "
+                                          f"exceeds sup|g| = {p.g_sup:g}")
             rec["eps"] = float(eps)
             recs.append(rec)
             if rec["flagged"]:

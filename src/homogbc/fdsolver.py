@@ -15,14 +15,17 @@ principle holds.
 
 Masked Dirichlet grids and the periodic cell problem on a torus are the
 same DiscreteProblem, solved by Howard policy iteration: freeze the
-optimizing member at each node, solve the resulting linear system
-(sparse direct, BiCGSTAB for large 3-d systems), and re-optimize until
-the nonlinear residual is below tolerance.  Inside a ``factor_reuse``
+optimizing member at each node, solve the resulting linear system,
+which stores only that member's stencil (sparse direct, or BiCGSTAB
+started from the current iterate for large 3-d systems; every solve
+is checked by its residual), and re-optimize until the nonlinear
+residual is below tolerance.  Inside a ``factor_reuse``
 scope the sparse LU of the last linear system is kept, and a later
 linear system with exactly the same matrix is served by a back-solve.
 """
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -283,7 +286,10 @@ class DiscreteProblem:
             tot = np.zeros(self.n_interior)
             cs = {}
             for d, (up, down) in mem.items():
-                c = up if up is down else np.where(d2[d] >= 0, up, down)
+                # sign-dependent slopes are scalars (Pucci): a two-entry
+                # table lookup, several times faster than np.where
+                c = up if up is down else np.array([down, up]).take(
+                    (d2[d] >= 0).view(np.int8))
                 tot += c * d2[d]
                 cs[d] = c
             vals.append(tot)
@@ -295,32 +301,45 @@ class DiscreteProblem:
         F = stackv.max(axis=0) if take_max else stackv.min(axis=0)
         if not want_policy:
             return F, None
-        pick = np.argmax(stackv, axis=0) if take_max \
-            else np.argmin(stackv, axis=0)
         weights = {}
-        for mi, cs in enumerate(slopes):
-            sel = pick == mi
+        taken = np.zeros(self.n_interior, dtype=bool)
+        for v, cs in zip(vals, slopes):
+            sel = (v == F) & ~taken  # the lowest optimal index
+            taken |= sel
             for d, c in cs.items():
-                weights[d] = weights.get(d, 0.0) + np.where(sel, c, 0.0)
+                weights[d] = weights.get(d, 0.0) + sel * c
         return F, weights
+
+    def evaluate(self, u_flat, want_policy):
+        """The residual F_h(u) - delta*u - f over interior nodes and,
+        if ``want_policy``, the weights of the optimal member."""
+        F, weights = self._extremum(self.second_diffs(u_flat), want_policy)
+        if self.delta:
+            F = F - self.delta * u_flat[self.int_flat]
+        return F - self.f, weights
 
     def residual(self, u_flat):
         """F_h(u) - delta*u - f over interior nodes."""
-        d2 = self.second_diffs(u_flat)
-        F, _ = self._extremum(d2, want_policy=False)
-        if self.delta:
-            F = F - self.delta * u_flat[self.int_flat]
-        return F - self.f
+        return self.evaluate(u_flat, want_policy=False)[0]
+
+    @functools.cached_property
+    def _arm_cols(self):
+        """Per direction, the unknown index of the +d and -d neighbour
+        of each interior node, -1 where that neighbour is not interior;
+        the policy-independent half of every assembled system."""
+        col_of = np.full(self.grid.values.size, -1, dtype=np.int32)
+        col_of[self.int_flat] = np.arange(self.n_interior, dtype=np.int32)
+        return {d: (col_of[ip], col_of[im])
+                for d, (ip, im) in self.nbr.items()}
 
     def assemble(self, weights):
-        """Sparse system L u_int = rhs for frozen nonnegative weights."""
-        grid = self.grid
-        h = grid.h
-        npts = grid.values.size
-        col_of = np.full(npts, -1, dtype=np.int64)
-        col_of[self.int_flat] = np.arange(self.n_interior)
-        mask_flat = grid.mask.ravel()
-        vals_flat = grid.values.ravel()
+        """Sparse system L u_int = rhs for frozen nonnegative weights.
+
+        Only arms with positive weight are stored, so the matrix holds
+        the chosen member's stencil and no explicit zeros.
+        """
+        h = self.grid.h
+        vals_flat = self.grid.values.ravel()
         rows, cols, vals = [], [], []
         rhs = self.f.astype(float).copy()
         diag = np.full(self.n_interior, -float(self.delta))
@@ -328,12 +347,14 @@ class DiscreteProblem:
         for d, c in weights.items():
             c = np.broadcast_to(np.asarray(c, dtype=float), (self.n_interior,))
             w = c / (h * h * float(np.dot(d, d)))
-            for nb in self.nbr[d]:
-                is_int = mask_flat[nb] == INTERIOR
-                rows.append(center[is_int])
-                cols.append(col_of[nb[is_int]])
-                vals.append(w[is_int])
-                rhs[~is_int] -= w[~is_int] * vals_flat[nb[~is_int]]
+            live = w > 0
+            for nb, col in zip(self.nbr[d], self._arm_cols[d]):
+                inner = live & (col >= 0)
+                rows.append(center[inner])
+                cols.append(col[inner])
+                vals.append(w[inner])
+                ring = live & (col < 0)
+                rhs[ring] -= w[ring] * vals_flat[nb[ring]]
             diag -= 2.0 * w
             if self.shift is not None:
                 rhs -= c * self.shift[d]
@@ -544,28 +565,53 @@ def factor_reuse():
         _scope = None
 
 
-def _solve_sparse(A, rhs, dim, linear=False):
+def _solve_sparse(A, rhs, dim, linear=False, x0=None, report=None):
     """Solve L x = rhs for the assembled (negative-diagonal) M-matrix.
 
     A ``linear`` system (its matrix does not depend on the iterate)
     solved directly inside a ``factor_reuse`` scope goes through the
-    scope's retained LU.  Large systems take BiCGSTAB only; a Krylov
-    failure raises SolveError rather than falling back to a direct
-    solve of the same size.
+    scope's retained LU.  Large systems take BiCGSTAB only, started
+    from ``x0`` if given; a Krylov failure raises SolveError rather
+    than falling back to a direct solve of the same size.  Every
+    returned x is checked by its true residual, as the normwise
+    backward error ||Bx - b|| / (||B|| ||x|| + ||b||) in the max norm
+    (B = -L, b = -rhs); above RESIDUAL_CHECK it raises SolveError.
+    ``report``, if given, receives the path taken (``direct``,
+    ``lu_reuse`` or ``bicgstab``), the Krylov iteration count and the
+    checked residual.
     """
     n = A.shape[0]
     B = (-A).tocsr()
     b = -rhs
+    krylov = 0
     if n > 400_000 or (dim >= 3 and n > 60_000):
-        x, info = spla.bicgstab(B, b, rtol=1e-12, atol=0.0, maxiter=2000)
+        def count(_):
+            nonlocal krylov
+            krylov += 1
+
+        path = "bicgstab"
+        x, info = spla.bicgstab(B, b, x0=x0, rtol=1e-12, atol=0.0,
+                                maxiter=2000, callback=count)
         if info != 0:
             raise SolveError(f"BiCGSTAB failed on {n} unknowns (info {info})")
-        return x
-    if linear and _scope is not None:
-        return _scope.solve(B.tocsc(), b)
-    return spla.spsolve(B.tocsc(), b)
+    elif linear and _scope is not None:
+        reused = _scope.reused_solves
+        x = _scope.solve(B.tocsc(), b)
+        path = "lu_reuse" if _scope.reused_solves > reused else "direct"
+    else:
+        path = "direct"
+        x = spla.spsolve(B.tocsc(), b)
+    scale = spla.norm(B, np.inf) * np.max(np.abs(x)) + np.max(np.abs(b))
+    res = float(np.max(np.abs(B @ x - b)) / (scale if scale > 0 else 1.0))
+    if not res <= RESIDUAL_CHECK:
+        raise SolveError(f"{path} solve on {n} unknowns has backward "
+                         f"error {res:.3e} > {RESIDUAL_CHECK:g}")
+    if report is not None:
+        report.update(path=path, krylov_iterations=krylov, residual=res)
+    return x
 
 
+RESIDUAL_CHECK = 1e-10
 MAX_POLICIES = 50
 
 
@@ -578,11 +624,13 @@ def solve_dirichlet(p, tol=1e-8, start=None):
     is a single solve.  Deterministic: ties pick the lowest index.
     The first iterate takes its interior values from the GridField
     ``start`` if given (e.g. the solution of a nearby problem on the
-    same grid), else the mean of the boundary ring.
+    same grid), else the mean of the boundary ring.  From the second
+    policy on, a Krylov solve starts from the current iterate.
 
-    Returns (GridField, record).  Raises SolveError with the residual
-    history if MAX_POLICIES policies do not converge or the policy
-    repeats above 10*tol.
+    Returns (GridField, record); the record lists every linear solve's
+    path, Krylov iterations and checked residual under ``solves``.
+    Raises SolveError with the residual history if MAX_POLICIES
+    policies do not converge or the policy repeats above 10*tol.
     """
     grid = p.grid.copy()
     u = grid.values.ravel()
@@ -593,16 +641,21 @@ def solve_dirichlet(p, tol=1e-8, start=None):
         u[p.int_flat] = float(np.mean(u[ring]))
     linear = len(p.members) == 1 and all(
         up is down for up, down in p.members[0].values())
-    history = []
+    history, solves = [], []
     prev_pick = None
     converged = False
-    for _ in range(MAX_POLICIES):
-        d2 = p.second_diffs(u)
-        _, weights = p._extremum(d2, want_policy=True)
+    # one extremum per iterate: its F gives the residual and its
+    # policy the next linear system
+    _, weights = p.evaluate(u, want_policy=True)
+    for k in range(MAX_POLICIES):
         A, rhs = p.assemble(weights)
-        x = _solve_sparse(A, rhs, grid.dim, linear=linear)
-        u[p.int_flat] = x
-        res = float(np.max(np.abs(p.residual(u))))
+        report = {}
+        u[p.int_flat] = _solve_sparse(A, rhs, grid.dim, linear=linear,
+                                      x0=u[p.int_flat] if k else None,
+                                      report=report)
+        solves.append(report)
+        r, next_weights = p.evaluate(u, want_policy=True)
+        res = float(np.max(np.abs(r)))
         history.append(res)
         if res <= tol:
             converged = True
@@ -613,12 +666,14 @@ def solve_dirichlet(p, tol=1e-8, start=None):
             # policy fixed point at the linear-solver floor
             break
         prev_pick = key
+        weights = next_weights
     record = {
         "iterations": len(history),
         "residual_history": history,
         "converged": converged or (len(history) > 0 and
                                    history[-1] <= 10 * tol),
         "tol": tol,
+        "solves": solves,
     }
     if not record["converged"]:
         raise SolveError(

@@ -183,3 +183,26 @@ def test_envelope_failure_is_numerical_error(tmp_path, monkeypatch):
     })
     assert code == EXIT_NUMERICAL
     assert not (out / "manifest.json").exists()
+
+
+def test_gbar_alpha_beyond_trace_range_exits_numerical(tmp_path, monkeypatch,
+                                                       capsys):
+    # a ray limit outside [-sup|g|, sup|g|] is a numerical failure with a
+    # typed error and a JSON payload, not a traceback
+    from homogbc import corrector
+
+    monkeypatch.setattr(corrector, "ray_limit",
+                        lambda p, tol=1e-8: (5.0, 0.0, {"flagged": False}))
+    code, out = _run(tmp_path, "gbar", {
+        "operator": {"kind": "laplacian"},
+        "g": "0.25", "period": [1.0, 1.0],
+        "nu": [1.0, math.sqrt(2.0)],
+        "points": [[0.0, 0.0]],
+        "eps_list": [0.25, 0.125],
+        "strip": {"T": 4.0, "L": 12.0, "h": 0.125},
+    })
+    assert code == EXIT_NUMERICAL
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "SolveError"
+    assert "exceeds sup|g| = 0.25" in payload["message"]
+    assert not (out / "manifest.json").exists()

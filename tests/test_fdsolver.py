@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homogbc import fdsolver
 from homogbc.fdsolver import (INTERIOR, CertificateError, GridField,
@@ -214,3 +216,106 @@ def test_factor_reuse_scope_nests_and_frees_on_exception():
     w, _ = solve_dirichlet(p)
     assert np.array_equal(u.values, v.values)
     assert np.array_equal(u.values, w.values)
+
+
+def test_perturbed_direct_solve_raises(monkeypatch):
+    # every solve is checked by its residual before the iterate uses it
+    exact = fdsolver.spla.spsolve
+
+    def perturbed(B, b, **kwargs):
+        x = exact(B, b, **kwargs)
+        return x + 1e-6 * np.random.default_rng(0).standard_normal(x.size)
+
+    monkeypatch.setattr(fdsolver.spla, "spsolve", perturbed)
+    p = discretize(laplacian(), RECT, 1 / 16, boundary=_harmonic)
+    with pytest.raises(SolveError, match="backward error"):
+        solve_dirichlet(p)
+
+
+def test_record_names_each_solve_path():
+    p = discretize(laplacian(), RECT, 1 / 16, boundary=_harmonic)
+    with factor_reuse():
+        recs = [solve_dirichlet(p)[1] for _ in range(2)]
+    q = discretize(pucci_plus(1.0, 2.0), RECT, 1 / 16, boundary=_harmonic)
+    _, rec = solve_dirichlet(q)
+    assert [s["path"] for r in recs for s in r["solves"]] == \
+        ["direct", "lu_reuse"]
+    assert len(rec["solves"]) == rec["iterations"] > 1
+    for s in recs[0]["solves"] + recs[1]["solves"] + rec["solves"]:
+        assert s["krylov_iterations"] == 0
+        assert 0.0 <= s["residual"] <= 1e-14
+
+
+_SMALL = {2: DomainSpec.disk((0.0, 0.0), 1.0),
+          3: DomainSpec.disk((0.0, 0.0, 0.0), 1.0)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([2, 3]), order=st.sampled_from([1, 2]),
+       pucci=st.sampled_from([pucci_plus, pucci_minus]),
+       cells=st.integers(3, 6), flat=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pruned_assembly_is_the_chosen_stencil(dim, order, pucci, cells,
+                                               flat, seed):
+    # at a random iterate the assembled system holds exactly the chosen
+    # frame's arms: no stored zero, an M-matrix, and the same solution
+    # as a dense solve; a flat half of the iterate ties every frame
+    rng = np.random.default_rng(seed)
+    p = discretize(pucci(1.0, 2.5, dim), _SMALL[dim], 1.0 / cells,
+                   stencil_order=order,
+                   boundary=lambda x: rng.uniform(-1, 1, len(x)))
+    u = rng.uniform(-1.0, 1.0, p.grid.values.size)
+    if flat:
+        u[p.grid.coords().reshape(-1, dim)[:, 0] < 0] = 0.5
+    _, weights = p.evaluate(u, want_policy=True)
+    A, rhs = p.assemble(weights)
+    assert np.all(A.data != 0.0)
+    B = -A.toarray()
+    off = B - np.diag(np.diag(B))
+    assert np.all(np.diag(B) > 0)
+    assert np.all(off <= 0)
+    assert np.all(B.sum(axis=1) >= -1e-9 * np.abs(np.diag(B)))
+    arms = sum((w > 0).astype(int) for w in weights.values())
+    assert np.all(arms <= dim)
+    assert np.all(np.diff(A.indptr) <= 1 + 2 * arms)
+    x = fdsolver._solve_sparse(A, rhs, dim)
+    np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), rhs),
+                               rtol=0.0, atol=1e-10)
+
+
+def test_krylov_starts_from_the_previous_iterate(monkeypatch):
+    # above the 60,000-unknown switch each BiCGSTAB solve after the
+    # first starts from the iterate it is about to replace; the field
+    # matches a cold-started solve
+    z = np.array([0.0, 0.0, 0.26])
+
+    def bump(x):
+        d = np.linalg.norm(np.atleast_2d(x) - z, axis=-1)
+        return np.clip(1.0 - d / 0.03, 0.0, 1.0)
+
+    p = discretize(pucci_plus(1.0, 1.5, 3), DomainSpec.disk(
+        (0.0, 0.0, 0.0), 0.26), 0.01, boundary=bump)
+    assert p.n_interior > 60_000
+    bicgstab = fdsolver.spla.bicgstab
+    calls = []
+
+    def recorded(B, b, x0=None, **kwargs):
+        x, info = bicgstab(B, b, x0=x0, **kwargs)
+        calls.append((None if x0 is None else x0.copy(), x))
+        return x, info
+
+    monkeypatch.setattr(fdsolver.spla, "bicgstab", recorded)
+    warm, rec = solve_dirichlet(p)
+    assert len(calls) == rec["iterations"] > 1
+    assert calls[0][0] is None
+    for (x0, _), (_, prev) in zip(calls[1:], calls):
+        assert np.array_equal(x0, prev)
+    monkeypatch.setattr(fdsolver.spla, "bicgstab",
+                        lambda B, b, x0=None, **kw: bicgstab(B, b, **kw))
+    cold, cold_rec = solve_dirichlet(p)
+    assert np.max(np.abs(warm.values - cold.values)) <= 1e-10
+    krylov = [sum(s["krylov_iterations"] for s in r["solves"])
+              for r in (rec, cold_rec)]
+    assert krylov[0] < krylov[1]
+    assert all(s["path"] == "bicgstab" and s["residual"] <= 1e-10
+               for s in rec["solves"])
