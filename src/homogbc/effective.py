@@ -457,7 +457,8 @@ def effective_sandwich(p, env, eps_list, h_pm, K_scale=2 / 3, fbar_op=None,
 
     fbar_op defaults to the problem operator when it has no fast
     variable (including linear constant coefficients); otherwise it
-    must be supplied.
+    must be supplied.  u+ and u- are solved in one ``factor_reuse``
+    scope, so a linear fbar_op is factored once for both.
     """
     if not env.complete:
         raise ValueError("envelope is not completed; run build_envelopes")
@@ -471,12 +472,15 @@ def effective_sandwich(p, env, eps_list, h_pm, K_scale=2 / 3, fbar_op=None,
     n = p.domain.dim
     if (n - 1) * p.operator.lam <= p.operator.Lam:
         notes.append("unverified stability hypothesis: (n-1)*lam <= Lam")
-    prob_p = discretize(fbar_op, p.domain, h_pm, boundary=env.h_plus,
-                        source=p.data.source)
-    u_plus, _ = solve_dirichlet(prob_p, tol=tol)
-    prob_m = discretize(fbar_op, p.domain, h_pm, boundary=env.h_minus,
-                        source=p.data.source)
-    u_minus, _ = solve_dirichlet(prob_m, tol=tol)
+    # u+ and u- differ only in their boundary data: under a linear
+    # fbar_op they share one factor
+    with factor_reuse():
+        prob_p = discretize(fbar_op, p.domain, h_pm, boundary=env.h_plus,
+                            source=p.data.source)
+        u_plus, _ = solve_dirichlet(prob_p, tol=tol)
+        prob_m = discretize(fbar_op, p.domain, h_pm, boundary=env.h_minus,
+                            source=p.data.source)
+        u_minus, _ = solve_dirichlet(prob_m, tol=tol)
     per_eps = []
     fields = {}
     gap_sup = 0.0

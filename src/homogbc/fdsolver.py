@@ -16,19 +16,23 @@ principle holds.
 Masked Dirichlet grids and the periodic cell problem on a torus are the
 same DiscreteProblem, solved by Howard policy iteration: freeze the
 optimizing member at each node, solve the resulting linear system,
-which stores only that member's stencil (sparse direct, or BiCGSTAB
-started from the current iterate for large 3-d systems; every solve
-is checked by its residual), and re-optimize until the nonlinear
-residual is below tolerance.  Inside a ``factor_reuse``
-scope the sparse LU of the last linear system is kept, and a later
-linear system with exactly the same matrix is served by a back-solve.
+which stores only that member's stencil and is assembled straight
+into CSR (sparse direct, or BiCGSTAB for large 3-d systems; every
+solve is checked by its residual), and re-optimize until the nonlinear
+residual is below tolerance.  On the Krylov path Howard is inexact
+(Dembo-Eisenstat-Steihaug forcing): each BiCGSTAB starts from the
+current iterate and stops at ETA times its nonlinear residual, and the
+loop accepts only after a full-accuracy solve.  A linear problem
+assembles its matrix once.  Inside a ``factor_reuse`` scope the sparse
+LU of the last linear system is kept, and a later linear system with
+the same matrix is served by a back-solve.
 """
 
 import contextlib
 import functools
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sparse
@@ -36,7 +40,8 @@ import scipy.sparse.linalg as spla
 
 __all__ = [
     "EXTERIOR", "BOUNDARY", "INTERIOR",
-    "GridField", "DiscreteProblem", "CertificateError", "SolveError",
+    "GridField", "DiscreteProblem", "LinearSystem", "CertificateError",
+    "SolveError",
     "frames_for", "monotone_weights", "discretize", "discretize_cell",
     "solve_dirichlet", "factor_reuse",
     "comparison_check",
@@ -239,6 +244,14 @@ class GridField:
                          float(header["h"][0]), mask, values)
 
 
+class LinearSystem(NamedTuple):
+    """B x = b for the interior unknowns of one frozen policy: B = -L
+    (an M-matrix) in canonical CSR, and ``norm`` its max norm."""
+    B: sparse.csr_matrix
+    b: np.ndarray
+    norm: float
+
+
 @dataclass
 class DiscreteProblem:
     """F_h(D^2 u + shift) - delta*u = f on a masked grid or a torus.
@@ -259,6 +272,8 @@ class DiscreteProblem:
     mode: str
     shift: Optional[dict] = None
     delta: float = 0.0
+    _fixed: Optional[tuple] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     @property
     def n_interior(self):
@@ -323,49 +338,97 @@ class DiscreteProblem:
         return self.evaluate(u_flat, want_policy=False)[0]
 
     @functools.cached_property
-    def _arm_cols(self):
-        """Per direction, the unknown index of the +d and -d neighbour
-        of each interior node, -1 where that neighbour is not interior;
-        the policy-independent half of every assembled system."""
+    def linear(self):
+        """One member whose slopes do not depend on the sign: the
+        assembled matrix does not depend on the iterate."""
+        return len(self.members) == 1 and all(
+            up is down for up, down in self.members[0].values())
+
+    @functools.cached_property
+    def _arms(self):
+        """Per direction, the +d and the -d arm of every interior node:
+        the neighbour's unknown index (-1 where it is not interior),
+        the arm's flat offset, and the nodes whose neighbour is on the
+        ring with that neighbour's flat index; the policy-independent
+        half of every assembled system."""
         col_of = np.full(self.grid.values.size, -1, dtype=np.int32)
         col_of[self.int_flat] = np.arange(self.n_interior, dtype=np.int32)
-        return {d: (col_of[ip], col_of[im])
-                for d, (ip, im) in self.nbr.items()}
+        step = np.cumprod((1,) + self.grid.shape[:0:-1])[::-1]
+        arms = {}
+        for d, nbs in self.nbr.items():
+            arms[d] = []
+            for nb, sign in zip(nbs, (1, -1)):
+                col = col_of[nb]
+                ring = np.flatnonzero(col < 0)
+                arms[d].append((col, col >= 0, sign * int(step @ d), ring,
+                                nb[ring]))
+        return arms
+
+    def _matrix(self, w):
+        """B = -L in canonical CSR, and its max norm, for the arm
+        weights ``w``.  Each row takes its entries in the order of the
+        arms' flat offsets, which is column order on a masked grid; a
+        torus row that wraps around is sorted afterwards."""
+        n = self.n_interior
+        diag = np.full(n, float(self.delta))
+        count = np.ones(n, dtype=np.int32)
+        arms = [(0, None, None, None)]
+        for d, wd in w.items():
+            pos = wd > 0
+            for col, inner, offset, _, _ in self._arms[d]:
+                live = pos & inner
+                arms.append((offset, live, col, wd))
+                count += live
+            diag += 2.0 * wd
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(count, out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        data = np.empty(indptr[-1])
+        at = indptr[:-1].copy()  # the next free slot of each row
+        for _, live, col, wd in sorted(arms, key=lambda arm: arm[0]):
+            if live is None:
+                indices[at] = np.arange(n, dtype=np.int32)
+                data[at] = diag
+                at += 1
+                continue
+            k = np.flatnonzero(live)
+            i = at.take(k)
+            indices[i] = col.take(k)
+            data[i] = -wd.take(k)
+            at += live
+        B = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+        B.sum_duplicates()
+        return B, float(np.max(np.add.reduceat(np.abs(B.data),
+                                               B.indptr[:-1])))
 
     def assemble(self, weights):
-        """Sparse system L u_int = rhs for frozen nonnegative weights.
+        """The frozen-policy system B x = b: B = -L and b = -rhs for the
+        sparse system L u_int = rhs.
 
         Only arms with positive weight are stored, so the matrix holds
-        the chosen member's stencil and no explicit zeros.
+        the chosen member's stencil and no explicit zeros.  A linear
+        problem's weights are its one member's, so its matrix is
+        assembled once; later calls rebuild only b from the current
+        ring values.
         """
         h = self.grid.h
+        c = {d: np.broadcast_to(np.asarray(cd, dtype=float),
+                                (self.n_interior,))
+             for d, cd in weights.items()}
+        w = {d: cd / (h * h * float(np.dot(d, d))) for d, cd in c.items()}
+        if self.linear and self._fixed is None:
+            self._fixed = self._matrix(w)
+        B, norm = self._fixed if self.linear else self._matrix(w)
         vals_flat = self.grid.values.ravel()
-        rows, cols, vals = [], [], []
-        rhs = self.f.astype(float).copy()
-        diag = np.full(self.n_interior, -float(self.delta))
-        center = np.arange(self.n_interior)
-        for d, c in weights.items():
-            c = np.broadcast_to(np.asarray(c, dtype=float), (self.n_interior,))
-            w = c / (h * h * float(np.dot(d, d)))
-            live = w > 0
-            for nb, col in zip(self.nbr[d], self._arm_cols[d]):
-                inner = live & (col >= 0)
-                rows.append(center[inner])
-                cols.append(col[inner])
-                vals.append(w[inner])
-                ring = live & (col < 0)
-                rhs[ring] -= w[ring] * vals_flat[nb[ring]]
-            diag -= 2.0 * w
+        b = -np.asarray(self.f, dtype=float)
+        for d, wd in w.items():
+            for _, _, _, ring, nb in self._arms[d]:
+                wr = wd.take(ring)
+                live = wr > 0
+                b[ring[live]] += wr[live] * vals_flat[nb[live]]
             if self.shift is not None:
-                rhs -= c * self.shift[d]
-        rows.append(center)
-        cols.append(center)
-        vals.append(diag)
-        A = sparse.csr_matrix(
-            (np.concatenate(vals),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_interior, self.n_interior))
-        return A, rhs
+                b += c[d] * self.shift[d]
+        return LinearSystem(B, b, norm)
 
 
 def _node_namer(grid, int_flat):
@@ -511,6 +574,12 @@ def discretize_cell(op, M, delta, cell_grid):
         delta=float(delta))
 
 
+def _same_entries(M, B):
+    return M.shape == B.shape and np.array_equal(M.indptr, B.indptr) and \
+        np.array_equal(M.indices, B.indices) and \
+        np.array_equal(M.data, B.data)
+
+
 class FactorScope:
     """The one retained LU of a ``factor_reuse`` scope and its counts."""
 
@@ -521,18 +590,16 @@ class FactorScope:
         self.reused_solves = 0
 
     def solve(self, B, b):
-        """Back-solve with the retained LU when ``B`` is exactly its
-        matrix; otherwise drop it and factor ``B``.  ``splu`` with the
-        COLAMD ordering gives the same bits as ``spsolve``."""
+        """Back-solve with the retained LU when the CSR ``B`` is its
+        matrix (the same object, or equal entry for entry); otherwise
+        drop it and factor ``B``.  ``splu`` with the COLAMD ordering
+        gives the same bits as ``spsolve``."""
         M = self.matrix
-        if M is not None and M.shape == B.shape and \
-                np.array_equal(M.indptr, B.indptr) and \
-                np.array_equal(M.indices, B.indices) and \
-                np.array_equal(M.data, B.data):
+        if M is B or M is not None and _same_entries(M, B):
             self.reused_solves += 1
         else:
             self.matrix = self.lu = None
-            self.lu = spla.splu(B, permc_spec="COLAMD")
+            self.lu = spla.splu(B.tocsc(), permc_spec="COLAMD")
             self.matrix = B
             self.factorizations += 1
         return self.lu.solve(b)
@@ -565,54 +632,79 @@ def factor_reuse():
         _scope = None
 
 
-def _solve_sparse(A, rhs, dim, linear=False, x0=None, report=None):
-    """Solve L x = rhs for the assembled (negative-diagonal) M-matrix.
+def _solve_sparse(system, dim, linear=False, x0=None, target=None,
+                  report=None):
+    """Solve the assembled system B x = b (B = -L, an M-matrix).
 
     A ``linear`` system (its matrix does not depend on the iterate)
     solved directly inside a ``factor_reuse`` scope goes through the
     scope's retained LU.  Large systems take BiCGSTAB only, started
     from ``x0`` if given; a Krylov failure raises SolveError rather
-    than falling back to a direct solve of the same size.  Every
-    returned x is checked by its true residual, as the normwise
-    backward error ||Bx - b|| / (||B|| ||x|| + ||b||) in the max norm
-    (B = -L, b = -rhs); above RESIDUAL_CHECK it raises SolveError.
+    than falling back to a direct solve of the same size.  On that
+    path a ``target`` above the full-accuracy floor 1e-12 ||b||_2
+    makes the solve inexact: BiCGSTAB stops once ||Bx - b||_2 <
+    target, and the true residual of the x it returns is checked
+    against the target.  Every other x (direct, or Krylov at full
+    accuracy: rtol 1e-12) is checked by its normwise backward error
+    ||Bx - b|| / (||B|| ||x|| + ||b||) in the max norm against
+    RESIDUAL_CHECK.  A failed check raises SolveError.
     ``report``, if given, receives the path taken (``direct``,
-    ``lu_reuse`` or ``bicgstab``), the Krylov iteration count and the
-    checked residual.
+    ``lu_reuse`` or ``bicgstab``), the Krylov iteration count, the
+    checked residual and the stopping ``target`` (None at full
+    accuracy).
     """
-    n = A.shape[0]
-    B = (-A).tocsr()
-    b = -rhs
+    B, b, norm = system
+    n = B.shape[0]
     krylov = 0
-    if n > 400_000 or (dim >= 3 and n > 60_000):
+    on_krylov = n > 400_000 or (dim >= 3 and n > 60_000)
+    if not on_krylov or target is not None and \
+            target <= 1e-12 * np.linalg.norm(b):
+        target = None  # a direct solve, or a Krylov one at its floor
+    if on_krylov:
         def count(_):
             nonlocal krylov
             krylov += 1
 
         path = "bicgstab"
-        x, info = spla.bicgstab(B, b, x0=x0, rtol=1e-12, atol=0.0,
+        x, info = spla.bicgstab(B, b, x0=x0, rtol=1e-12,
+                                atol=0.0 if target is None else target,
                                 maxiter=2000, callback=count)
         if info != 0:
             raise SolveError(f"BiCGSTAB failed on {n} unknowns (info {info})")
     elif linear and _scope is not None:
         reused = _scope.reused_solves
-        x = _scope.solve(B.tocsc(), b)
+        x = _scope.solve(B, b)
         path = "lu_reuse" if _scope.reused_solves > reused else "direct"
     else:
         path = "direct"
         x = spla.spsolve(B.tocsc(), b)
-    scale = spla.norm(B, np.inf) * np.max(np.abs(x)) + np.max(np.abs(b))
-    res = float(np.max(np.abs(B @ x - b)) / (scale if scale > 0 else 1.0))
-    if not res <= RESIDUAL_CHECK:
-        raise SolveError(f"{path} solve on {n} unknowns has backward "
-                         f"error {res:.3e} > {RESIDUAL_CHECK:g}")
+    if target is None:
+        scale = norm * np.max(np.abs(x)) + np.max(np.abs(b))
+        res = float(np.max(np.abs(B @ x - b)) / (scale if scale > 0 else 1.0))
+        if not res <= RESIDUAL_CHECK:
+            raise SolveError(f"{path} solve on {n} unknowns has backward "
+                             f"error {res:.3e} > {RESIDUAL_CHECK:g}")
+    else:
+        res = float(np.linalg.norm(B @ x - b))
+        if not res <= target:
+            raise SolveError(f"inexact {path} solve on {n} unknowns has "
+                             f"residual {res:.3e} > target {target:.3e}")
     if report is not None:
-        report.update(path=path, krylov_iterations=krylov, residual=res)
+        report.update(path=path, krylov_iterations=krylov, residual=res,
+                      target=target)
     return x
 
 
 RESIDUAL_CHECK = 1e-10
+# forcing term of inexact Howard: a Krylov solve of policy k stops at
+# ETA times the nonlinear residual of the iterate it starts from
+ETA = 0.1
 MAX_POLICIES = 50
+
+
+def _same_policy(v, w):
+    return v.keys() == w.keys() and all(np.array_equal(v[d], w[d])
+                                        for d in v)
 
 
 def solve_dirichlet(p, tol=1e-8, start=None):
@@ -620,17 +712,26 @@ def solve_dirichlet(p, tol=1e-8, start=None):
 
     Serves masked Dirichlet grids and the periodic cell problem alike.
     Freezes the optimizing member at each node, solves the frozen
-    linear system exactly, and re-optimizes; for linear operators this
-    is a single solve.  Deterministic: ties pick the lowest index.
-    The first iterate takes its interior values from the GridField
+    linear system, and re-optimizes; for linear operators this is a
+    single solve.  Deterministic: ties pick the lowest index.  The
+    first iterate takes its interior values from the GridField
     ``start`` if given (e.g. the solution of a nearby problem on the
-    same grid), else the mean of the boundary ring.  From the second
-    policy on, a Krylov solve starts from the current iterate.
+    same grid), else the mean of the boundary ring.
+
+    Direct solves are exact.  On the Krylov path Howard is inexact
+    (Dembo-Eisenstat-Steihaug): the solve of policy k starts from the
+    iterate u_k and stops at ETA ||r_k||_2, r_k = F_h(u_k) - f being
+    both the nonlinear residual and that solve's initial linear
+    residual.  The loop accepts or stops only after a full-accuracy
+    solve, so a policy that repeats after an inexact solve is solved
+    again at full accuracy (and a linear problem, with its one policy,
+    is solved at full accuracy at once).
 
     Returns (GridField, record); the record lists every linear solve's
-    path, Krylov iterations and checked residual under ``solves``.
-    Raises SolveError with the residual history if MAX_POLICIES
-    policies do not converge or the policy repeats above 10*tol.
+    path, Krylov iterations, checked residual and target under
+    ``solves``.  Raises SolveError with the residual history if
+    MAX_POLICIES solves do not converge or a policy repeats after a
+    full-accuracy solve above 10*tol.
     """
     grid = p.grid.copy()
     u = grid.values.ravel()
@@ -639,33 +740,34 @@ def solve_dirichlet(p, tol=1e-8, start=None):
         u[p.int_flat] = start.values.ravel()[p.int_flat]
     elif ring.any():
         u[p.int_flat] = float(np.mean(u[ring]))
-    linear = len(p.members) == 1 and all(
-        up is down for up, down in p.members[0].values())
     history, solves = [], []
-    prev_pick = None
     converged = False
+    exact = p.linear
     # one extremum per iterate: its F gives the residual and its
     # policy the next linear system
-    _, weights = p.evaluate(u, want_policy=True)
-    for k in range(MAX_POLICIES):
-        A, rhs = p.assemble(weights)
+    r, weights = p.evaluate(u, want_policy=True)
+    for _ in range(MAX_POLICIES):
         report = {}
-        u[p.int_flat] = _solve_sparse(A, rhs, grid.dim, linear=linear,
-                                      x0=u[p.int_flat] if k else None,
-                                      report=report)
+        u[p.int_flat] = _solve_sparse(
+            p.assemble(weights), grid.dim, linear=p.linear,
+            x0=u[p.int_flat],
+            target=None if exact else ETA * float(np.linalg.norm(r)),
+            report=report)
         solves.append(report)
         r, next_weights = p.evaluate(u, want_policy=True)
         res = float(np.max(np.abs(r)))
         history.append(res)
-        if res <= tol:
-            converged = True
-            break
-        key = tuple(np.asarray(w, dtype=float).tobytes()
-                    for _, w in sorted(weights.items()))
-        if prev_pick is not None and key == prev_pick:
-            # policy fixed point at the linear-solver floor
-            break
-        prev_pick = key
+        repeat = _same_policy(next_weights, weights)
+        if report["target"] is None:
+            if res <= tol:
+                converged = True
+                break
+            if repeat:
+                # policy fixed point at the linear-solver floor
+                break
+        # a policy that repeats after an inexact solve is solved again
+        # at full accuracy before the loop accepts or stops
+        exact = report["target"] is not None and repeat
         weights = next_weights
     record = {
         "iterations": len(history),

@@ -8,7 +8,7 @@ from homogbc import effective, fdsolver
 from homogbc.effective import (OscillatingProblem, boundary_layer_compare,
                                build_envelopes, effective_sandwich,
                                sample_gbar_on_boundary, solve_oscillating)
-from homogbc.fdsolver import SolveError
+from homogbc.fdsolver import SolveError, discretize, solve_dirichlet
 from homogbc.geometry import DomainSpec
 from homogbc.operators import SourceAndBoundaryData, laplacian
 
@@ -134,6 +134,28 @@ def test_sandwich_on_disk(cosdata_problem, sampled_env):
     assert verdict.envelope_gap >= 0.0
     assert verdict.converged
     assert verdict.envelope_gap <= verdict.gap_budget
+
+
+def test_sandwich_envelopes_share_one_factor(monkeypatch, cosdata_problem,
+                                            sampled_env):
+    # u+ and u- of a linear operator differ only in their boundary
+    # data: one factorization serves both, with spsolve's bits
+    splu = fdsolver.spla.splu
+    factored = []
+
+    def counted(*args, **kwargs):
+        factored.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(fdsolver.spla, "splu", counted)
+    _, up, um, _ = effective_sandwich(cosdata_problem, sampled_env, [1 / 16],
+                                      h_pm=1 / 64)
+    assert len(factored) == 1
+    monkeypatch.setattr(fdsolver.spla, "splu", splu)
+    for env_h, u in ((sampled_env.h_plus, up), (sampled_env.h_minus, um)):
+        q = discretize(laplacian(), DISK, 1 / 64, boundary=env_h,
+                       source=cosdata_problem.data.source)
+        assert np.array_equal(u.values, solve_dirichlet(q, tol=1e-6)[0].values)
 
 
 @pytest.mark.parametrize("exc", [SolveError, TypeError])

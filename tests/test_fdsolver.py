@@ -166,10 +166,10 @@ def test_cell_system_is_m_matrix(op):
     delta = 1e-2
     p = discretize_cell(op, np.array([[1.0, 0.4], [0.4, -2.0]]), delta, 16)
     d2 = p.second_diffs(np.zeros(p.n_interior))
-    A, _ = p.assemble(p._extremum(d2, want_policy=True)[1])
-    np.testing.assert_allclose(np.asarray((-A).sum(axis=1)).ravel(), delta,
+    B = p.assemble(p._extremum(d2, want_policy=True)[1]).B
+    np.testing.assert_allclose(np.asarray(B.sum(axis=1)).ravel(), delta,
                                rtol=0.0, atol=1e-9)
-    assert np.all(-A.diagonal() > 0)
+    assert np.all(B.diagonal() > 0)
 
 
 def test_dump_load_roundtrip(tmp_path):
@@ -195,9 +195,10 @@ def test_krylov_failure_raises_without_direct_fallback(monkeypatch):
     monkeypatch.setattr(fdsolver.spla, "spsolve", no_direct)
     monkeypatch.setattr(fdsolver.spla, "splu", no_direct)
     n = 60_001
-    A = -fdsolver.sparse.identity(n, format="csr")
+    system = fdsolver.LinearSystem(
+        fdsolver.sparse.identity(n, format="csr"), np.ones(n), 1.0)
     with pytest.raises(SolveError, match="BiCGSTAB"):
-        fdsolver._solve_sparse(A, -np.ones(n), dim=3, linear=True)
+        fdsolver._solve_sparse(system, dim=3, linear=True)
 
 
 def test_factor_reuse_scope_nests_and_frees_on_exception():
@@ -216,6 +217,34 @@ def test_factor_reuse_scope_nests_and_frees_on_exception():
     w, _ = solve_dirichlet(p)
     assert np.array_equal(u.values, v.values)
     assert np.array_equal(u.values, w.values)
+
+
+def test_linear_problem_assembles_its_matrix_once(monkeypatch):
+    # a linear strip is solved twice with new ring values: the second
+    # solve rebuilds only the right-hand side and the scope knows its
+    # matrix by identity, with the bits of a fresh problem's solve
+    p = discretize(laplacian(), RECT, 1 / 16, boundary=_harmonic)
+    matrix = fdsolver.DiscreteProblem._matrix
+    built = []
+
+    def counted(self, w):
+        built.append(self)
+        return matrix(self, w)
+
+    monkeypatch.setattr(fdsolver.DiscreteProblem, "_matrix", counted)
+    with factor_reuse() as scope:
+        u, _ = solve_dirichlet(p)
+        assert scope.matrix is p._fixed[0]
+        p.grid.values[p.grid.mask == fdsolver.BOUNDARY] += 1.0
+        monkeypatch.setattr(fdsolver, "_same_entries", None)
+        v, rec = solve_dirichlet(p, start=u)
+        assert scope.counts() == {"factorizations": 1, "reused_solves": 1}
+    assert len(built) == 1 and built[0] is p
+    assert rec["solves"][0]["path"] == "lu_reuse"
+    q = discretize(laplacian(), RECT, 1 / 16,
+                   boundary=lambda x: _harmonic(x) + 1.0)
+    w, _ = solve_dirichlet(q)
+    assert np.array_equal(v.values, w.values)
 
 
 def test_perturbed_direct_solve_raises(monkeypatch):
@@ -268,9 +297,11 @@ def test_pruned_assembly_is_the_chosen_stencil(dim, order, pucci, cells,
     if flat:
         u[p.grid.coords().reshape(-1, dim)[:, 0] < 0] = 0.5
     _, weights = p.evaluate(u, want_policy=True)
-    A, rhs = p.assemble(weights)
+    system = p.assemble(weights)
+    A = system.B
+    assert A.has_canonical_format
     assert np.all(A.data != 0.0)
-    B = -A.toarray()
+    B = A.toarray()
     off = B - np.diag(np.diag(B))
     assert np.all(np.diag(B) > 0)
     assert np.all(off <= 0)
@@ -278,15 +309,14 @@ def test_pruned_assembly_is_the_chosen_stencil(dim, order, pucci, cells,
     arms = sum((w > 0).astype(int) for w in weights.values())
     assert np.all(arms <= dim)
     assert np.all(np.diff(A.indptr) <= 1 + 2 * arms)
-    x = fdsolver._solve_sparse(A, rhs, dim)
-    np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), rhs),
+    x = fdsolver._solve_sparse(system, dim)
+    np.testing.assert_allclose(x, np.linalg.solve(B, system.b),
                                rtol=0.0, atol=1e-10)
 
 
-def test_krylov_starts_from_the_previous_iterate(monkeypatch):
-    # above the 60,000-unknown switch each BiCGSTAB solve after the
-    # first starts from the iterate it is about to replace; the field
-    # matches a cold-started solve
+@pytest.fixture(scope="module")
+def bump3d():
+    # a 3-d Pucci+ bump on 73,447 unknowns, above the 60,000 switch
     z = np.array([0.0, 0.0, 0.26])
 
     def bump(x):
@@ -296,6 +326,21 @@ def test_krylov_starts_from_the_previous_iterate(monkeypatch):
     p = discretize(pucci_plus(1.0, 1.5, 3), DomainSpec.disk(
         (0.0, 0.0, 0.0), 0.26), 0.01, boundary=bump)
     assert p.n_interior > 60_000
+    return p
+
+
+def _within_targets(rec):
+    # an inexact solve is checked against its target, a full-accuracy
+    # one by its backward error
+    return all(s["residual"] <= (1e-10 if s["target"] is None
+                                 else s["target"]) for s in rec["solves"])
+
+
+def test_krylov_starts_from_the_previous_iterate(monkeypatch, bump3d):
+    # above the 60,000-unknown switch each BiCGSTAB solve starts from
+    # the iterate it is about to replace, the first from the mean of
+    # the boundary ring; the field matches a cold-started solve
+    p = bump3d
     bicgstab = fdsolver.spla.bicgstab
     calls = []
 
@@ -307,7 +352,8 @@ def test_krylov_starts_from_the_previous_iterate(monkeypatch):
     monkeypatch.setattr(fdsolver.spla, "bicgstab", recorded)
     warm, rec = solve_dirichlet(p)
     assert len(calls) == rec["iterations"] > 1
-    assert calls[0][0] is None
+    ring = p.grid.values[p.grid.mask == fdsolver.BOUNDARY]
+    assert np.all(calls[0][0] == np.mean(ring))
     for (x0, _), (_, prev) in zip(calls[1:], calls):
         assert np.array_equal(x0, prev)
     monkeypatch.setattr(fdsolver.spla, "bicgstab",
@@ -317,5 +363,61 @@ def test_krylov_starts_from_the_previous_iterate(monkeypatch):
     krylov = [sum(s["krylov_iterations"] for s in r["solves"])
               for r in (rec, cold_rec)]
     assert krylov[0] < krylov[1]
-    assert all(s["path"] == "bicgstab" and s["residual"] <= 1e-10
-               for s in rec["solves"])
+    assert all(s["path"] == "bicgstab" for s in rec["solves"])
+    assert _within_targets(rec)
+    assert rec["solves"][-1]["target"] is None
+    assert rec["solves"][-1]["residual"] <= 1e-10
+
+
+def test_inexact_howard_matches_full_accuracy(monkeypatch, bump3d):
+    # each Krylov solve stops at ETA times the residual of its start;
+    # the accepted field is as good as a full-accuracy Howard solve's
+    p = bump3d
+    tol = 1e-8
+    inexact, rec = solve_dirichlet(p, tol=tol)
+    monkeypatch.setattr(fdsolver, "ETA", 0.0)
+    exact, exact_rec = solve_dirichlet(p, tol=tol)
+    assert rec["converged"] and rec["residual_history"][-1] <= tol
+    assert all(s["target"] is None for s in exact_rec["solves"])
+    assert any(s["target"] is not None for s in rec["solves"])
+    assert _within_targets(rec) and _within_targets(exact_rec)
+    assert rec["solves"][-1]["target"] is None
+    # two fields with Howard residuals within tol differ by at most
+    # 2 C tol, C = diam^2 / (2 lam) the comparison constant
+    C = 0.52 ** 2 / 2.0
+    assert np.max(np.abs(inexact.values - exact.values)) <= 2 * C * tol
+    krylov = [sum(s["krylov_iterations"] for s in r["solves"])
+              for r in (rec, exact_rec)]
+    assert krylov[0] < krylov[1]
+
+
+def test_policy_repeated_after_inexact_solve_is_resolved(monkeypatch,
+                                                         bump3d):
+    # an inexact solve that leaves the iterate as it found it makes its
+    # policy repeat; the loop must solve that policy again at full
+    # accuracy rather than stop at a policy fixed point
+    p = bump3d
+    bicgstab = fdsolver.spla.bicgstab
+    eta = fdsolver.ETA
+    calls = []
+
+    def lazy(B, b, x0=None, atol=0.0, **kwargs):
+        calls.append(atol)
+        if len(calls) == 1:
+            monkeypatch.setattr(fdsolver, "ETA", eta)
+            return x0.copy(), 0
+        return bicgstab(B, b, x0=x0, atol=atol, **kwargs)
+
+    # for the first solve only, ETA above 1 lets the unchanged start
+    # pass its residual check
+    monkeypatch.setattr(fdsolver, "ETA", 1.5)
+    monkeypatch.setattr(fdsolver.spla, "bicgstab", lazy)
+    _, rec = solve_dirichlet(p)
+    first, second = rec["solves"][:2]
+    assert first["target"] is not None and first["krylov_iterations"] == 0
+    assert rec["residual_history"][0] > rec["tol"]
+    assert calls[0] > 0.0 and calls[1] == 0.0
+    assert second["target"] is None and second["krylov_iterations"] > 0
+    assert rec["converged"] and rec["residual_history"][-1] <= rec["tol"]
+    assert rec["solves"][-1]["target"] is None
+    assert _within_targets(rec)
