@@ -372,6 +372,7 @@ def build_envelopes(p, env, mollifier_radius=None, tol=1e-8):
     pts = np.array([sm["x"] for sm in samples])
     v_field = None
     v_sup_K = 0.0
+    bump_iterations = None
     if env.excluded:
         bump_h = max(min(b["r"] for b in env.excluded) / 2.0,
                      p.domain.diameter / 256.0)
@@ -390,7 +391,8 @@ def build_envelopes(p, env, mollifier_radius=None, tol=1e-8):
 
         ext = pucci_plus(p.operator.lam, p.operator.Lam, p.domain.dim)
         prob = discretize(ext, p.domain, bump_h, boundary=bump_data)
-        v_field, _ = solve_dirichlet(prob, tol=tol)
+        v_field, bump_rec = solve_dirichlet(prob, tol=tol)
+        bump_iterations = bump_rec["iterations"]
         VX = v_field.coords()[v_field.mask == INTERIOR]
         on_K = p.domain.contains_scaled(VX, 2.0 / 3.0)
         if on_K.any():
@@ -424,6 +426,7 @@ def build_envelopes(p, env, mollifier_radius=None, tol=1e-8):
         "slack": slack,
         "v_sup_K": v_sup_K,
         "n_excluded": len(env.excluded),
+        "bump_iterations": bump_iterations,
     }
     return env
 

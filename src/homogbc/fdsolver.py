@@ -17,15 +17,18 @@ Masked Dirichlet grids and the periodic cell problem on a torus are the
 same DiscreteProblem, solved by Howard policy iteration: freeze the
 optimizing member at each node, solve the resulting linear system,
 which stores only that member's stencil and is assembled straight
-into CSR (sparse direct, or BiCGSTAB for large 3-d systems; every
+into CSR (a sparse LU, or BiCGSTAB for large 3-d systems; every
 solve is checked by its residual), and re-optimize until the nonlinear
-residual is below tolerance.  On the Krylov path Howard is inexact
-(Dembo-Eisenstat-Steihaug forcing): each BiCGSTAB starts from the
-current iterate and stops at ETA times its nonlinear residual, and the
-loop accepts only after a full-accuracy solve.  A linear problem
-assembles its matrix once.  Inside a ``factor_reuse`` scope the sparse
-LU of the last linear system is kept, and a later linear system with
-the same matrix is served by a back-solve.
+residual is below tolerance.  Every direct solve factors its matrix
+under one nested-dissection order of the grid's unknowns (George
+1973), computed once per problem and only when it first factors.  On
+the Krylov path Howard is inexact (Dembo-Eisenstat-Steihaug forcing):
+each BiCGSTAB starts from the current iterate and stops at ETA times
+its nonlinear residual, and the loop accepts only after a
+full-accuracy solve.  A linear problem assembles its matrix once.
+Inside a ``factor_reuse`` scope the sparse LU of the last linear
+system is kept, and a later linear system with the same matrix is
+served by a back-solve.
 """
 
 import contextlib
@@ -364,6 +367,16 @@ class DiscreteProblem:
                                 nb[ring]))
         return arms
 
+    @functools.cached_property
+    def order(self):
+        """The nested-dissection order of the interior unknowns (see
+        ``_dissection``): unknown ``order[k]`` is eliminated k-th.
+        Within a block the unknowns keep their grid order."""
+        path = _dissection(self)
+        key = path.astype(np.int64) @ 3 ** np.arange(
+            path.shape[1] - 1, -1, -1, dtype=np.int64)
+        return np.argsort(key, kind="stable")
+
     def _matrix(self, w):
         """B = -L in canonical CSR, and its max norm, for the arm
         weights ``w``.  Each row takes its entries in the order of the
@@ -429,6 +442,63 @@ class DiscreteProblem:
             if self.shift is not None:
                 b += c[d] * self.shift[d]
         return LinearSystem(B, b, norm)
+
+
+# nested dissection stops at boxes of at most this many grid nodes
+ND_LEAF = 16
+
+
+def _dissection(p):
+    """Nested dissection of ``p``'s interior unknowns by recursive
+    coordinate bisection of their grid indices, as each unknown's path
+    down the dissection tree: row k of the returned (n, levels) int8
+    array holds unknown k's side at each level, 0 (first half), 1
+    (second half) or 2 (separator), padded with 0 below the level at
+    which its block stopped splitting.  The order sorts the paths.
+
+    Level 0 separates the last ``reach`` planes along each axis: on the
+    torus of ``discretize_cell`` their arms wrap around, and on a masked
+    grid the ring lies there, so none is interior.  Every later level
+    cuts each box of grid indices across its longest extent (the first
+    such axis), at its middle, by a separator ``reach`` planes wide that
+    no stencil arm crosses.  A box of at most ND_LEAF nodes, or too
+    thin to cut, stays whole.  All boxes of a level are cut at once;
+    at most 39 levels keep the sort key below 3**39 < 2**63.
+    """
+    reach = max(max(abs(c) for c in d) for d in p.dirs)
+    n = p.n_interior
+    coords = [c.astype(np.int32)
+              for c in np.unravel_index(p.int_flat, p.grid.shape)]
+    wrap = np.zeros(n, dtype=bool)
+    for c, size in zip(coords, p.grid.shape):
+        wrap |= c >= size - reach
+    path = [np.where(wrap, 2, 0).astype(np.int8)]
+    live = ~wrap  # the unknowns whose box is still cut
+    # each unknown's box: lo <= index < hi along every axis
+    lo = [np.full(n, c[live].min(initial=size), dtype=np.int32)
+          for c, size in zip(coords, p.grid.shape)]
+    hi = [np.full(n, c[live].max(initial=-1) + 1, dtype=np.int32)
+          for c in coords]
+    while live.any() and len(path) < 39:
+        w = [b - a for a, b in zip(lo, hi)]
+        axis = np.zeros(n, dtype=np.int8)
+        width, size = w[0], w[0]
+        for i in range(1, len(w)):
+            axis[w[i] > width] = i
+            width = np.maximum(width, w[i])
+            size = size * w[i]
+        live &= (size > ND_LEAF) & (width > reach + 1)
+        cut = np.choose(axis, lo) + (width - reach) // 2
+        c = np.choose(axis, coords) - cut
+        side = np.where(c < 0, 0, np.where(c < reach, 2, 1)).astype(np.int8)
+        side[~live] = 0
+        live &= side != 2
+        for i in range(len(w)):
+            on = live & (axis == i)
+            hi[i] = np.where(on & (side == 0), cut, hi[i])
+            lo[i] = np.where(on & (side == 1), cut + reach, lo[i])
+        path.append(side)
+    return np.stack(path, axis=1)
 
 
 def _node_namer(grid, int_flat):
@@ -580,6 +650,42 @@ def _same_entries(M, B):
         np.array_equal(M.data, B.data)
 
 
+class _Factor:
+    """The sparse LU of the M-matrix B (canonical CSR) under the
+    elimination order ``order``; ``solve`` works in B's numbering and
+    ``fill`` is the number of entries SuperLU stores for L and U.
+
+    The rows of P B P^T are gathered from B's CSR straight into the
+    arrays of a CSC matrix, which is thus (P B P^T)^T: SuperLU factors
+    it in the given order (NATURAL) on its diagonal pivots, as an
+    M-matrix needs no pivoting, and ``solve`` applies the factors
+    transposed.  The backward-error check in ``_solve_sparse`` guards
+    every solve.
+    """
+
+    def __init__(self, B, order):
+        n = B.shape[0]
+        rows = np.diff(B.indptr)[order]
+        indptr = np.zeros(n + 1, dtype=B.indptr.dtype)
+        np.cumsum(rows, out=indptr[1:])
+        # the position in B of each entry of P B P^T, row by row
+        src = np.repeat(B.indptr[:-1][order] - indptr[:-1], rows) + \
+            np.arange(indptr[-1], dtype=B.indptr.dtype)
+        rank = np.empty(n, dtype=B.indices.dtype)
+        rank[order] = np.arange(n, dtype=B.indices.dtype)
+        At = sparse.csc_matrix((B.data[src], rank[B.indices[src]], indptr),
+                               shape=(n, n))
+        self.lu = spla.splu(At, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        self.order = order
+        # SuperLU's own count: reading lu.L or lu.U would copy them
+        self.fill = int(self.lu.nnz)
+
+    def solve(self, b):
+        x = np.empty_like(b)
+        x[self.order] = self.lu.solve(b[self.order], trans="T")
+        return x
+
+
 class FactorScope:
     """The one retained LU of a ``factor_reuse`` scope and its counts."""
 
@@ -589,20 +695,19 @@ class FactorScope:
         self.factorizations = 0
         self.reused_solves = 0
 
-    def solve(self, B, b):
-        """Back-solve with the retained LU when the CSR ``B`` is its
-        matrix (the same object, or equal entry for entry); otherwise
-        drop it and factor ``B``.  ``splu`` with the COLAMD ordering
-        gives the same bits as ``spsolve``."""
+    def factor(self, B, order):
+        """The retained LU when the CSR ``B`` is its matrix (the same
+        object, or equal entry for entry); otherwise drop it and factor
+        ``B`` under ``order()``."""
         M = self.matrix
         if M is B or M is not None and _same_entries(M, B):
             self.reused_solves += 1
         else:
             self.matrix = self.lu = None
-            self.lu = spla.splu(B.tocsc(), permc_spec="COLAMD")
+            self.lu = _Factor(B, order())
             self.matrix = B
             self.factorizations += 1
-        return self.lu.solve(b)
+        return self.lu
 
     def counts(self):
         return {"factorizations": self.factorizations,
@@ -632,14 +737,16 @@ def factor_reuse():
         _scope = None
 
 
-def _solve_sparse(system, dim, linear=False, x0=None, target=None,
+def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
                   report=None):
     """Solve the assembled system B x = b (B = -L, an M-matrix).
 
-    A ``linear`` system (its matrix does not depend on the iterate)
-    solved directly inside a ``factor_reuse`` scope goes through the
-    scope's retained LU.  Large systems take BiCGSTAB only, started
-    from ``x0`` if given; a Krylov failure raises SolveError rather
+    A direct solve factors B under the elimination order ``order()``,
+    called only when B is factored, so the Krylov path never builds
+    it.  A ``linear`` system (its matrix does not depend on the
+    iterate) solved directly inside a ``factor_reuse`` scope goes
+    through the scope's retained LU.  Large systems take BiCGSTAB only,
+    started from ``x0`` if given; a Krylov failure raises SolveError rather
     than falling back to a direct solve of the same size.  On that
     path a ``target`` above the full-accuracy floor 1e-12 ||b||_2
     makes the solve inexact: BiCGSTAB stops once ||Bx - b||_2 <
@@ -650,12 +757,13 @@ def _solve_sparse(system, dim, linear=False, x0=None, target=None,
     RESIDUAL_CHECK.  A failed check raises SolveError.
     ``report``, if given, receives the path taken (``direct``,
     ``lu_reuse`` or ``bicgstab``), the Krylov iteration count, the
-    checked residual and the stopping ``target`` (None at full
-    accuracy).
+    checked residual, the stopping ``target`` (None at full accuracy)
+    and the ``fill`` of the LU used (None on the Krylov path).
     """
     B, b, norm = system
     n = B.shape[0]
     krylov = 0
+    fill = None
     on_krylov = n > 400_000 or (dim >= 3 and n > 60_000)
     if not on_krylov or target is not None and \
             target <= 1e-12 * np.linalg.norm(b):
@@ -671,13 +779,17 @@ def _solve_sparse(system, dim, linear=False, x0=None, target=None,
                                 maxiter=2000, callback=count)
         if info != 0:
             raise SolveError(f"BiCGSTAB failed on {n} unknowns (info {info})")
-    elif linear and _scope is not None:
-        reused = _scope.reused_solves
-        x = _scope.solve(B, b)
-        path = "lu_reuse" if _scope.reused_solves > reused else "direct"
     else:
         path = "direct"
-        x = spla.spsolve(B.tocsc(), b)
+        if linear and _scope is not None:
+            reused = _scope.reused_solves
+            lu = _scope.factor(B, order)
+            if _scope.reused_solves > reused:
+                path = "lu_reuse"
+        else:
+            lu = _Factor(B, order())
+        x = lu.solve(b)
+        fill = lu.fill
     if target is None:
         scale = norm * np.max(np.abs(x)) + np.max(np.abs(b))
         res = float(np.max(np.abs(B @ x - b)) / (scale if scale > 0 else 1.0))
@@ -691,7 +803,7 @@ def _solve_sparse(system, dim, linear=False, x0=None, target=None,
                              f"residual {res:.3e} > target {target:.3e}")
     if report is not None:
         report.update(path=path, krylov_iterations=krylov, residual=res,
-                      target=target)
+                      target=target, fill=fill)
     return x
 
 
@@ -728,8 +840,8 @@ def solve_dirichlet(p, tol=1e-8, start=None):
     is solved at full accuracy at once).
 
     Returns (GridField, record); the record lists every linear solve's
-    path, Krylov iterations, checked residual and target under
-    ``solves``.  Raises SolveError with the residual history if
+    path, Krylov iterations, checked residual, target and LU fill
+    under ``solves``.  Raises SolveError with the residual history if
     MAX_POLICIES solves do not converge or a policy repeats after a
     full-accuracy solve above 10*tol.
     """
@@ -749,8 +861,8 @@ def solve_dirichlet(p, tol=1e-8, start=None):
     for _ in range(MAX_POLICIES):
         report = {}
         u[p.int_flat] = _solve_sparse(
-            p.assemble(weights), grid.dim, linear=p.linear,
-            x0=u[p.int_flat],
+            p.assemble(weights), grid.dim, lambda: p.order,
+            linear=p.linear, x0=u[p.int_flat],
             target=None if exact else ETA * float(np.linalg.norm(r)),
             report=report)
         solves.append(report)

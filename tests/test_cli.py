@@ -46,6 +46,9 @@ def test_solve_writes_grid(tmp_path):
     assert (out / "solution.grid").exists()
     rec = json.loads((out / "solve.json").read_text())
     assert rec["record"]["converged"]
+    # each direct solve reports the fill of its sparse LU
+    assert [s["path"] for s in rec["record"]["solves"]] == ["direct"]
+    assert rec["record"]["solves"][0]["fill"] > 0
 
 
 def test_audit_exit_codes(tmp_path):

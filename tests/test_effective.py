@@ -80,6 +80,14 @@ def test_envelope_bounds_and_order(sampled_env):
     assert np.all(np.abs(hm) <= 3 * env.g_sup + 1e-9)
 
 
+def test_correction_reports_bump_iterations(sampled_env):
+    # this sweep excludes balls, so the extremal bump is solved: a
+    # Pucci+ Howard solve from a flat start takes more than one policy
+    c = sampled_env.correction
+    assert c["n_excluded"] > 0
+    assert isinstance(c["bump_iterations"], int) and c["bump_iterations"] > 1
+
+
 def test_envelope_covers_sampled_gbar(sampled_env):
     env = sampled_env
     for s in env.samples:
@@ -139,7 +147,8 @@ def test_sandwich_on_disk(cosdata_problem, sampled_env):
 def test_sandwich_envelopes_share_one_factor(monkeypatch, cosdata_problem,
                                             sampled_env):
     # u+ and u- of a linear operator differ only in their boundary
-    # data: one factorization serves both, with spsolve's bits
+    # data: one factorization of their grid's matrix serves both, with
+    # the bits of each solved on its own
     splu = fdsolver.spla.splu
     factored = []
 
@@ -150,12 +159,13 @@ def test_sandwich_envelopes_share_one_factor(monkeypatch, cosdata_problem,
     monkeypatch.setattr(fdsolver.spla, "splu", counted)
     _, up, um, _ = effective_sandwich(cosdata_problem, sampled_env, [1 / 16],
                                       h_pm=1 / 64)
-    assert len(factored) == 1
     monkeypatch.setattr(fdsolver.spla, "splu", splu)
     for env_h, u in ((sampled_env.h_plus, up), (sampled_env.h_minus, um)):
         q = discretize(laplacian(), DISK, 1 / 64, boundary=env_h,
                        source=cosdata_problem.data.source)
         assert np.array_equal(u.values, solve_dirichlet(q, tol=1e-6)[0].values)
+    n = q.n_interior
+    assert factored.count((n, n)) == 1
 
 
 @pytest.mark.parametrize("exc", [SolveError, TypeError])

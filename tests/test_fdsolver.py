@@ -192,13 +192,12 @@ def test_krylov_failure_raises_without_direct_fallback(monkeypatch):
 
     monkeypatch.setattr(fdsolver.spla, "bicgstab",
                         lambda B, b, **kwargs: (np.zeros_like(b), 2000))
-    monkeypatch.setattr(fdsolver.spla, "spsolve", no_direct)
     monkeypatch.setattr(fdsolver.spla, "splu", no_direct)
     n = 60_001
     system = fdsolver.LinearSystem(
         fdsolver.sparse.identity(n, format="csr"), np.ones(n), 1.0)
     with pytest.raises(SolveError, match="BiCGSTAB"):
-        fdsolver._solve_sparse(system, dim=3, linear=True)
+        fdsolver._solve_sparse(system, 3, no_direct, linear=True)
 
 
 def test_factor_reuse_scope_nests_and_frees_on_exception():
@@ -249,13 +248,13 @@ def test_linear_problem_assembles_its_matrix_once(monkeypatch):
 
 def test_perturbed_direct_solve_raises(monkeypatch):
     # every solve is checked by its residual before the iterate uses it
-    exact = fdsolver.spla.spsolve
+    exact = fdsolver._Factor.solve
 
-    def perturbed(B, b, **kwargs):
-        x = exact(B, b, **kwargs)
+    def perturbed(self, b):
+        x = exact(self, b)
         return x + 1e-6 * np.random.default_rng(0).standard_normal(x.size)
 
-    monkeypatch.setattr(fdsolver.spla, "spsolve", perturbed)
+    monkeypatch.setattr(fdsolver._Factor, "solve", perturbed)
     p = discretize(laplacian(), RECT, 1 / 16, boundary=_harmonic)
     with pytest.raises(SolveError, match="backward error"):
         solve_dirichlet(p)
@@ -273,6 +272,8 @@ def test_record_names_each_solve_path():
     for s in recs[0]["solves"] + recs[1]["solves"] + rec["solves"]:
         assert s["krylov_iterations"] == 0
         assert 0.0 <= s["residual"] <= 1e-14
+        assert s["fill"] >= q.n_interior
+    assert recs[0]["solves"][0]["fill"] == recs[1]["solves"][0]["fill"]
 
 
 _SMALL = {2: DomainSpec.disk((0.0, 0.0), 1.0),
@@ -309,9 +310,137 @@ def test_pruned_assembly_is_the_chosen_stencil(dim, order, pucci, cells,
     arms = sum((w > 0).astype(int) for w in weights.values())
     assert np.all(arms <= dim)
     assert np.all(np.diff(A.indptr) <= 1 + 2 * arms)
-    x = fdsolver._solve_sparse(system, dim)
+    x = fdsolver._solve_sparse(system, dim, lambda: p.order)
     np.testing.assert_allclose(x, np.linalg.solve(B, system.b),
                                rtol=0.0, atol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def dissected():
+    # a corrector strip (12 x 4 at h = 1/16), the disk, a 3-d ball and
+    # the cell torus
+    strip = DomainSpec.rectangle((-6.0, 0.0), (6.0, 4.0))
+    return {
+        "strip": discretize(pucci_plus(1.0, 2.0), strip, 1 / 16),
+        "disk": discretize(laplacian(), _SMALL[2], 1 / 48,
+                           boundary=_harmonic),
+        "ball": discretize(pucci_plus(1.0, 1.5, 3), _SMALL[3], 1 / 10),
+        "torus": discretize_cell(pucci_plus(1.0, 2.0),
+                                 np.array([[1.0, 0.4], [0.4, -2.0]]),
+                                 1e-2, 24),
+    }
+
+
+@pytest.mark.parametrize("name", ["strip", "disk", "ball", "torus"])
+def test_dissection_order_separates_sibling_blocks(dissected, name):
+    # the order is a permutation that sorts the dissection paths, and
+    # no stencil arm of any member (so no entry of any policy matrix)
+    # links two sibling blocks: where the paths of its two ends first
+    # differ, one of them is in the separator
+    p = dissected[name]
+    path = fdsolver._dissection(p)
+    assert np.array_equal(np.sort(p.order), np.arange(p.n_interior))
+    assert np.array_equal(p.order, np.lexsort(path.T[::-1]))
+    assert path.shape[1] > 4
+    assert np.any(path[:, 0] == 2) == (name == "torus")
+    for arms in p._arms.values():
+        for col, inner, _, _, _ in arms:
+            i, j = np.flatnonzero(inner), col[inner]
+            differ = path[i] != path[j]
+            k = np.argmax(differ, axis=1)
+            sides = path[i, k] + path[j, k]
+            assert not np.any(differ.any(axis=1) & (sides == 1))
+
+
+@pytest.mark.parametrize("name", ["strip", "disk"])
+def test_dissection_fill_at_most_colamd(dissected, name):
+    p = dissected[name]
+    u = np.random.default_rng(3).uniform(-1.0, 1.0, p.grid.values.size)
+    B = p.assemble(p.evaluate(u, want_policy=True)[1]).B
+    colamd = fdsolver.spla.splu(B.tocsc(), permc_spec="COLAMD")
+    assert fdsolver._Factor(B, p.order).fill <= colamd.nnz
+
+
+def _masked_problem(op, interior, rng):
+    # a Dirichlet problem on a random mask: every node off the mask is
+    # ring, with random values, and the source is random
+    dim = interior.ndim
+    frames = fdsolver.frames_for(dim, 2)
+    dirs = sorted({d for f in frames for d in f})
+    int_flat = np.flatnonzero(interior)
+    mask = np.where(interior, INTERIOR, fdsolver.BOUNDARY).astype(np.int8)
+    grid = GridField(np.zeros(dim), 0.125, mask,
+                     rng.uniform(-1.0, 1.0, interior.shape))
+    members, mode = fdsolver._family(op, frames, 2, None, None)
+    return fdsolver.DiscreteProblem(
+        grid=grid, f=rng.uniform(-1.0, 1.0, int_flat.size), dirs=dirs,
+        int_flat=int_flat,
+        nbr=fdsolver._neighbours(int_flat, interior.shape, dirs),
+        members=members, mode=mode)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([2, 3]), torus=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_direct_solve_under_dissection_matches_dense(dim, torus, seed):
+    rng = np.random.default_rng(seed)
+    op = pucci_plus(1.0, 2.5, dim)
+    if torus:
+        A = rng.uniform(-1.0, 1.0, (dim, dim))
+        p = discretize_cell(op, A + A.T, rng.uniform(0.01, 1.0),
+                            int(rng.integers(3, 7 if dim == 3 else 13)))
+    else:
+        shape = tuple(rng.integers(3, 9 if dim == 3 else 17, size=dim))
+        interior = rng.random(shape) < rng.uniform(0.3, 1.0)
+        interior &= np.pad(np.ones([s - 2 for s in shape], bool), 1)
+        interior[(1,) * dim] = True
+        p = _masked_problem(op, interior, rng)
+    u = rng.uniform(-1.0, 1.0, p.grid.values.size)
+    system = p.assemble(p.evaluate(u, want_policy=True)[1])
+    x = fdsolver._solve_sparse(system, dim, lambda: p.order)
+    dense = np.linalg.solve(system.B.toarray(), system.b)
+    # relative to the solution's size: with a small delta a cell
+    # solution reaches the hundreds
+    np.testing.assert_allclose(x, dense, rtol=0.0,
+                               atol=1e-10 * max(1.0, np.max(np.abs(dense))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from([2, 3]), lam=st.floats(0.5, 1.0),
+       ratio=st.floats(1.0, 3.0),
+       mids=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+       cells=st.integers(3, 6), f=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pucci_solutions_bracket_linear(dim, lam, ratio, mids, cells, f,
+                                        seed):
+    # with the same data, a linear operator with diagonal coefficients
+    # in [lam, Lam] lies between the discrete Pucci operators, so by
+    # comparison Pucci- <= linear <= Pucci+ nodewise, up to 2 C tol
+    # with C = diam^2 / (2 lam)
+    Lam = lam * ratio
+    exprs = {}
+    for i in range(dim):
+        # a_ii(y) oscillates inside [lam, Lam]
+        mid = lam + mids[i] * (Lam - lam)
+        amp = min(mid - lam, Lam - mid)
+        exprs[f"a{i + 1}{i + 1}"] = f"{mid!r} + {amp!r}*sin(2*pi*y{i + 1})"
+    rng = np.random.default_rng(seed)
+    k, phase = rng.uniform(-3.0, 3.0, dim), rng.uniform(0.0, 2 * math.pi)
+
+    def g(x):
+        return np.cos(np.atleast_2d(x) @ k + phase)
+
+    tol = 1e-8
+    fields = []
+    for op in (pucci_minus(lam, Lam, dim),
+               linear_operator(exprs, lam, Lam, dim),
+               pucci_plus(lam, Lam, dim)):
+        p = discretize(op, _SMALL[dim], 1.0 / cells, boundary=g,
+                       source=lambda x: np.full(len(x), f))
+        fields.append(solve_dirichlet(p, tol=tol)[0].values)
+    slack = 2.0 * (2.0 ** 2 / (2.0 * lam)) * tol
+    assert np.all(fields[0] <= fields[1] + slack)
+    assert np.all(fields[1] <= fields[2] + slack)
 
 
 @pytest.fixture(scope="module")
@@ -421,3 +550,18 @@ def test_policy_repeated_after_inexact_solve_is_resolved(monkeypatch,
     assert rec["converged"] and rec["residual_history"][-1] <= rec["tol"]
     assert rec["solves"][-1]["target"] is None
     assert _within_targets(rec)
+
+
+def test_krylov_problem_never_builds_the_order(monkeypatch, bump3d):
+    # above the 60,000-unknown switch no solve factors, so the nested-
+    # dissection order is never built and SuperLU never called
+    def refused(*args, **kwargs):
+        raise AssertionError("direct-path work on the Krylov path")
+
+    monkeypatch.setattr(fdsolver, "_dissection", refused)
+    monkeypatch.setattr(fdsolver.spla, "splu", refused)
+    _, rec = solve_dirichlet(bump3d)
+    assert "order" not in vars(bump3d)
+    assert rec["converged"]
+    assert all(s["path"] == "bicgstab" and s["fill"] is None
+               for s in rec["solves"])
