@@ -86,28 +86,21 @@ class BarrierSpec:
             raise ValueError(f"unknown barrier kind {self.kind!r}")
 
     @staticmethod
-    def radial_interior(n, lam, Lam, center=None, alpha=None):
-        if alpha is None:
-            alpha = exponent_interior(n, lam, Lam)
-        center = np.zeros(n) if center is None else np.asarray(center, float)
+    def radial_interior(n, lam, Lam):
         return BarrierSpec("radial_interior", n, lam, Lam,
-                           {"alpha": float(alpha), "center": center})
+                           {"alpha": exponent_interior(n, lam, Lam),
+                            "center": np.zeros(n)})
 
     @staticmethod
-    def radial_exterior(n, lam, Lam, r0, center=None, alpha=None):
-        if alpha is None:
-            alpha = exponent_exterior(n, lam, Lam)
-        center = np.zeros(n) if center is None else np.asarray(center, float)
+    def radial_exterior(n, lam, Lam, r0):
         return BarrierSpec("radial_exterior", n, lam, Lam,
-                           {"alpha": float(alpha), "center": center,
-                            "r0": float(r0)})
+                           {"alpha": exponent_exterior(n, lam, Lam),
+                            "center": np.zeros(n), "r0": float(r0)})
 
     @staticmethod
-    def quad_strip(n, lam, Lam, s=1.0, c=None, amplitude=1.0):
-        if c is None:
-            c = (n - 1) * Lam / lam
+    def quad_strip(n, lam, Lam, s=1.0, amplitude=1.0):
         return BarrierSpec("quad_strip", n, lam, Lam,
-                           {"s": float(s), "c": float(c),
+                           {"s": float(s), "c": (n - 1) * Lam / lam,
                             "amplitude": float(amplitude)})
 
 
@@ -161,8 +154,11 @@ def barrier_hessian(spec, x):
     return H
 
 
-def verify_supersolution(spec, op, points=None, n_samples=1000, seed=0,
-                         tol=1e-9):
+# F(D^2 barrier) at or below this counts as a supersolution
+SUPERSOLUTION_TOL = 1e-9
+
+
+def verify_supersolution(spec, op, n_samples=1000, seed=0):
     """Check F(D^2 barrier) <= 0 at sample points.
 
     For quad_strip also checks boundary domination: amplitude-normalized
@@ -172,23 +168,21 @@ def verify_supersolution(spec, op, points=None, n_samples=1000, seed=0,
     """
     rng = np.random.default_rng(seed)
     n = spec.n
-    if points is None:
-        pts = []
-        if spec.kind == "quad_strip":
-            s = spec.params["s"]
-            for _ in range(n_samples):
-                xp = rng.uniform(-s / 2, s / 2, size=n - 1)
-                t = rng.uniform(0, s)
-                pts.append(np.concatenate([xp, [t]]))
-        else:
-            center = spec.params["center"]
-            r_lo = spec.params.get("r0", 0.1)
-            for _ in range(n_samples):
-                u = rng.standard_normal(n)
-                u /= np.linalg.norm(u)
-                r = rng.uniform(r_lo, 4.0 * max(r_lo, 1.0))
-                pts.append(center + r * u)
-        points = np.asarray(pts)
+    points = []
+    if spec.kind == "quad_strip":
+        s = spec.params["s"]
+        for _ in range(n_samples):
+            xp = rng.uniform(-s / 2, s / 2, size=n - 1)
+            t = rng.uniform(0, s)
+            points.append(np.concatenate([xp, [t]]))
+    else:
+        center = spec.params["center"]
+        r_lo = spec.params.get("r0", 0.1)
+        for _ in range(n_samples):
+            u = rng.standard_normal(n)
+            u /= np.linalg.norm(u)
+            r = rng.uniform(r_lo, 4.0 * max(r_lo, 1.0))
+            points.append(center + r * u)
     worst = -math.inf
     worst_pt = None
     for x in points:
@@ -200,8 +194,8 @@ def verify_supersolution(spec, op, points=None, n_samples=1000, seed=0,
         "kind": spec.kind,
         "worst_value": float(worst),
         "worst_point": [float(c) for c in worst_pt],
-        "is_supersolution": bool(worst <= tol),
-        "tol": tol,
+        "is_supersolution": bool(worst <= SUPERSOLUTION_TOL),
+        "tol": SUPERSOLUTION_TOL,
         "n_points": len(points),
     }
     if spec.kind == "quad_strip":

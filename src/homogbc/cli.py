@@ -167,9 +167,10 @@ def _cmd_gbar(cfg, out):
             rows.append([*sm["x"], sm["s"], sm["gbar"], sm["err"],
                          sm["kind"]])
         records.append({"excluded": env.excluded, "notes": env.notes})
+    header = [f"x{i + 1}" for i in range(op.dim)] + [
+        "s_or_eps", "gbar_or_alpha", "err", "kind"]
     _write_csv(os.path.join(out, "gbar.csv"),
-               ["x1", "x2", "s_or_eps", "gbar_or_alpha", "err", "kind"][
-                   :len(rows[0])] if rows else ["empty"], rows)
+               header[:len(rows[0])] if rows else ["empty"], rows)
     _write_json(os.path.join(out, "gbar.json"), {"records": records})
     return EXIT_OK, ["gbar.csv", "gbar.json"]
 

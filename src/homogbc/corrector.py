@@ -124,10 +124,10 @@ def build_strip(x0, nu, epsilon, T, L, h, data, op, seed=0):
     """Construct the truncated corrector problem.
 
     ``nu`` is the inward normal (a vector or Direction); ``data`` is a
-    SourceAndBoundaryData (its g(x, y) is frozen at x = x0) or a plain
-    callable g(y).  T and L are strip height and width in y-units;
-    L < 2T is refused because the lateral truncation bound is
-    meaningless there.
+    SourceAndBoundaryData, whose g(x, y) is frozen at x = x0 and whose
+    sup|g| bounds the ray limits.  T and L are strip height and width
+    in y-units; L < 2T is refused because the lateral truncation bound
+    is meaningless there.
     """
     x0 = np.asarray(x0, dtype=float)
     if isinstance(nu, Direction):
@@ -143,22 +143,12 @@ def build_strip(x0, nu, epsilon, T, L, h, data, op, seed=0):
     L = round(L / (2 * h)) * 2 * h
     y0 = x0 / epsilon
     Q = rotation_frame(d.nu)
-    if callable(data) and not hasattr(data, "g"):
-        gfun = data
-        g_sup = None
-    else:
-        gfun = lambda y, _d=data: np.asarray(_d.g(  # noqa: E731
-            np.broadcast_to(x0, np.shape(y)), y), dtype=float)
-        g_sup = data.g_sup(x0)
-    if g_sup is None:  # probe a line along every tangential axis
-        t = np.linspace(0, 64, 4096)[:, None]
-        g_sup = max(float(np.max(np.abs(gfun(y0 + t * Q[:, k]))))
-                    for k in range(x0.size - 1))
-    prob = HalfspaceCorrectorProblem(
+    return HalfspaceCorrectorProblem(
         x0=x0, nu=d, epsilon=float(epsilon), y0_eps=y0, Q=Q,
-        T=float(T), L=float(L), h=float(h), g=gfun, op=op,
-        g_sup=float(g_sup), seed=seed)
-    return prob
+        T=float(T), L=float(L), h=float(h),
+        g=lambda y: np.asarray(data.g(np.broadcast_to(x0, np.shape(y)), y),
+                               dtype=float),
+        op=op, g_sup=data.g_sup(x0), seed=seed)
 
 
 def _strip_problem(p):

@@ -75,7 +75,7 @@ def solve_oscillating(p, h, tol=1e-8):
             f"h = {h:g} > epsilon/8 = {p.epsilon / 8:g}: under-resolved")
     prob = discretize(p.operator, p.domain, h,
                       boundary=p.boundary_values,
-                      source=p.data.source, epsilon=p.epsilon)
+                      source=p.data.source, y_of_x=lambda x: x / p.epsilon)
     u, rec = solve_dirichlet(prob, tol=tol)
     ring = u.mask == 1
     g_sup = float(np.max(np.abs(u.values[ring]))) if ring.any() else 0.0
@@ -92,7 +92,7 @@ def solve_oscillating(p, h, tol=1e-8):
 
 
 def boundary_layer_compare(p, u_eps, x0, pq=(0.6, 0.85), T=4.0, L=None,
-                           h_strip=1 / 16, tol=1e-8, seed=0):
+                           h_strip=1 / 16):
     """Compare the scaled solution with its matching half-space corrector.
 
     Samples the corrector strip at x0 inside the ball of radius
@@ -112,8 +112,8 @@ def boundary_layer_compare(p, u_eps, x0, pq=(0.6, 0.85), T=4.0, L=None,
     nu_in = -p.domain.normal(x0)
     d = classify_direction(nu_in)
     strip = corr.build_strip(np.asarray(x0, float), d, eps, T=T, L=L,
-                             h=h_strip, data=p.data, op=p.operator, seed=seed)
-    sol = corr.solve_corrector(strip, tol=tol)
+                             h=h_strip, data=p.data, op=p.operator)
+    sol = corr.solve_corrector(strip)
     w = sol.field
     X = w.coords()
     inside = w.mask == INTERIOR
@@ -128,7 +128,7 @@ def boundary_layer_compare(p, u_eps, x0, pq=(0.6, 0.85), T=4.0, L=None,
     ok = ~np.isnan(uv)
     dev = float(np.max(np.abs(uv[ok] - wv[ok]))) if ok.any() else math.nan
     scale = eps ** (2 * pp - 1.0)
-    alpha, err, ray = corr.ray_limit(strip, sol, tol=tol)
+    alpha, err, ray = corr.ray_limit(strip, sol)
     return {
         "epsilon": eps,
         "p": pp,
@@ -182,7 +182,11 @@ def _trace_mean_varies(data, x0, m, tol):
     return max(means) - min(means) > tol
 
 
-def _rational_direction_balls(p, delta, radius, n_dense=4096):
+# boundary points scanned for rational normals by _rational_direction_balls
+N_DENSE = 4096
+
+
+def _rational_direction_balls(p, delta, radius):
     """Balls covering boundary points whose inward normal is a rational
     direction outside D_delta at which gbar is actually discontinuous.
 
@@ -207,8 +211,8 @@ def _rational_direction_balls(p, delta, radius, n_dense=4096):
         units.append((m, u / np.linalg.norm(u)))
     if not units:
         return []
-    pts, normals, _, total = dom.boundary_points(n_dense)
-    cos_tol = math.cos(4.0 * math.pi / n_dense + radius / max(total, 1e-12))
+    pts, normals, _, total = dom.boundary_points(N_DENSE)
+    cos_tol = math.cos(4.0 * math.pi / N_DENSE + radius / max(total, 1e-12))
     hit = np.zeros(len(pts), dtype=bool)
     for m, u in units:
         match = (-normals) @ u >= cos_tol
@@ -331,7 +335,12 @@ def _mollify_periodic(s, vals, total, radius):
     return out
 
 
-def build_envelopes(p, env, mollifier_radius=None, tol=1e-8):
+# Howard tolerance of the bump solve in build_envelopes, and the slack
+# of its delta-continuity check
+ENVELOPE_TOL = 1e-8
+
+
+def build_envelopes(p, env, mollifier_radius=None):
     """Complete an envelope: delta-continuity check, mollified h+/-.
 
     h+/- are the mollified samples shifted by +/-(delta + slack) and
@@ -360,7 +369,8 @@ def build_envelopes(p, env, mollifier_radius=None, tol=1e-8):
                 continue
             if _in_excluded(samples[j]["x"], env.excluded):
                 continue
-            if abs(vals[i] - vals[j]) > env.delta + bars[i] + bars[j] + tol:
+            if abs(vals[i] - vals[j]) > \
+                    env.delta + bars[i] + bars[j] + ENVELOPE_TOL:
                 raise EnvelopeError(
                     "delta-continuity violated between boundary points "
                     f"s={s[i]:.4f} and s={s[j]:.4f}: "
@@ -391,7 +401,7 @@ def build_envelopes(p, env, mollifier_radius=None, tol=1e-8):
 
         ext = pucci_plus(p.operator.lam, p.operator.Lam, p.domain.dim)
         prob = discretize(ext, p.domain, bump_h, boundary=bump_data)
-        v_field, bump_rec = solve_dirichlet(prob, tol=tol)
+        v_field, bump_rec = solve_dirichlet(prob, tol=ENVELOPE_TOL)
         bump_iterations = bump_rec["iterations"]
         VX = v_field.coords()[v_field.mask == INTERIOR]
         on_K = p.domain.contains_scaled(VX, 2.0 / 3.0)

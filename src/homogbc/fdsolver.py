@@ -105,7 +105,11 @@ def _diag_dir(dim, i, j, sign):
     return tuple(d)
 
 
-def monotone_weights(a, dim, order=2, tol=1e-12, where=None):
+# a cross term or negative axis weight beyond this fails the certificate
+CERTIFICATE_TOL = 1e-12
+
+
+def monotone_weights(a, dim, order=2, where=None):
     """Nonnegative stencil weights realizing sum a_ij d_ij u.
 
     The cross term 2 a_ij u_ij is moved onto the diagonal direction of
@@ -135,7 +139,7 @@ def monotone_weights(a, dim, order=2, tol=1e-12, where=None):
         for j in range(i + 1, dim):
             off = a[:, i, j]
             if order < 2:
-                bad = np.abs(off) > tol
+                bad = np.abs(off) > CERTIFICATE_TOL
                 if np.any(bad):
                     k = int(np.argmax(bad))
                     loc = where(k) if where else f"node {k}"
@@ -147,7 +151,7 @@ def monotone_weights(a, dim, order=2, tol=1e-12, where=None):
             weights[_diag_dir(dim, i, j, -1)] = 2.0 * np.maximum(-off, 0.0)
     for i in range(dim):
         w = weights[_axis_dir(dim, i)]
-        bad = w < -tol
+        bad = w < -CERTIFICATE_TOL
         if np.any(bad):
             k = int(np.argmax(bad))
             loc = where(k) if where else f"node {k}"
@@ -543,7 +547,7 @@ def _family(op, frames, stencil_order, y_nodes, where):
 
 
 def discretize(op, dom, h, stencil_order=2, boundary=None, source=None,
-               y_of_x=None, epsilon=None):
+               y_of_x=None):
     """Assemble a Dirichlet problem on a masked uniform grid.
 
     Parameters
@@ -555,7 +559,7 @@ def discretize(op, dom, h, stencil_order=2, boundary=None, source=None,
         boundary-ring nodes.
     source : callable(points) -> values or None
     y_of_x : callable(points) -> fast-variable points for coefficient
-        sampling (default x / epsilon if epsilon given, else identity).
+        sampling (default the identity).
     """
     frames = frames_for(op.dim, stencil_order)
     dirs = sorted({d for f in frames for d in f})
@@ -599,13 +603,8 @@ def discretize(op, dom, h, stencil_order=2, boundary=None, source=None,
     f = np.zeros(int_flat.size) if source is None else \
         np.asarray(source(xi), dtype=float)
 
-    if y_of_x is None:
-        if epsilon is not None:
-            y_of_x = lambda pts: pts / epsilon  # noqa: E731
-        else:
-            y_of_x = lambda pts: pts  # noqa: E731
-
-    members, mode = _family(op, frames, stencil_order, lambda: y_of_x(xi),
+    members, mode = _family(op, frames, stencil_order,
+                            lambda: xi if y_of_x is None else y_of_x(xi),
                             _node_namer(grid, int_flat))
     missing = {d for m in members for d in m} - set(dirs)
     if missing:
@@ -655,27 +654,16 @@ class _Factor:
     elimination order ``order``; ``solve`` works in B's numbering and
     ``fill`` is the number of entries SuperLU stores for L and U.
 
-    The rows of P B P^T are gathered from B's CSR straight into the
-    arrays of a CSC matrix, which is thus (P B P^T)^T: SuperLU factors
-    it in the given order (NATURAL) on its diagonal pivots, as an
-    M-matrix needs no pivoting, and ``solve`` applies the factors
-    transposed.  The backward-error check in ``_solve_sparse`` guards
-    every solve.
+    The CSR P B P^T, transposed, is the CSC (P B P^T)^T without a
+    copy.  SuperLU factors it in the given order (NATURAL) on its
+    diagonal pivots, as an M-matrix needs no pivoting, and ``solve``
+    applies the factors transposed.  The backward-error check in
+    ``_solve_sparse`` guards every solve.
     """
 
     def __init__(self, B, order):
-        n = B.shape[0]
-        rows = np.diff(B.indptr)[order]
-        indptr = np.zeros(n + 1, dtype=B.indptr.dtype)
-        np.cumsum(rows, out=indptr[1:])
-        # the position in B of each entry of P B P^T, row by row
-        src = np.repeat(B.indptr[:-1][order] - indptr[:-1], rows) + \
-            np.arange(indptr[-1], dtype=B.indptr.dtype)
-        rank = np.empty(n, dtype=B.indices.dtype)
-        rank[order] = np.arange(n, dtype=B.indices.dtype)
-        At = sparse.csc_matrix((B.data[src], rank[B.indices[src]], indptr),
-                               shape=(n, n))
-        self.lu = spla.splu(At, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        self.lu = spla.splu(B[order][:, order].T, permc_spec="NATURAL",
+                            diag_pivot_thresh=0.0)
         self.order = order
         # SuperLU's own count: reading lu.L or lu.U would copy them
         self.fill = int(self.lu.nnz)
@@ -897,13 +885,19 @@ def solve_dirichlet(p, tol=1e-8, start=None):
     return grid, record
 
 
-def comparison_check(p, u, v, tol=1e-8):
+# the residual and margin slack of comparison_check
+COMPARISON_TOL = 1e-8
+
+
+def comparison_check(p, u, v):
     """Discrete comparison principle report.
 
     If residual(u) <= tol <= residual(v) nodewise (u supersolution, v
     subsolution for the same f) and u >= v on boundary nodes, then
-    u >= v - tol at all interior nodes under the certified scheme.
+    u >= v - tol at all interior nodes under the certified scheme,
+    tol = COMPARISON_TOL.
     """
+    tol = COMPARISON_TOL
     ru = p.residual(u.values.ravel())
     rv = p.residual(v.values.ravel())
     ring = p.grid.mask == BOUNDARY

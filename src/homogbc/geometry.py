@@ -35,14 +35,11 @@ class Direction:
     """A unit vector with rationality classification.
 
     ``m`` is the minimal integer representative (gcd 1) when rational,
-    None otherwise.  Classification is only meaningful relative to
-    (tol, max_denominator); both are stored.
+    None otherwise.
     """
     nu: np.ndarray
     kind: str
     m: Optional[np.ndarray]
-    tol: float = 1e-9
-    max_denominator: int = 10 ** 4
 
     def __post_init__(self):
         object.__setattr__(self, "nu", np.asarray(self.nu, dtype=float))
@@ -67,13 +64,11 @@ class Direction:
 class HyperplaneLattice:
     """A near-integer point on the hyperplane {y . nu = 0}.
 
-    ``hat_point`` lies on the hyperplane over cube ``cube_index`` of side
-    ``cube_side``; ``integer_anchor`` is the lattice point directly below
-    it along the graph axis, at fractional gap ``t``.
+    ``hat_point`` lies on the hyperplane; ``integer_anchor`` is the
+    lattice point directly below it along the graph axis, at fractional
+    gap ``t``.
     """
     direction: Direction
-    cube_side: float
-    cube_index: np.ndarray
     hat_point: np.ndarray
     integer_anchor: np.ndarray
     t: float
@@ -85,22 +80,15 @@ class HyperplaneLattice:
         if abs(gap - self.t) > 1e-10:
             raise ValueError("|hat_point - integer_anchor| != t")
 
-    def to_record(self):
-        return {
-            "nu": [float(c) for c in self.direction.nu],
-            "class": self.direction.kind,
-            "m": None if self.direction.m is None
-                 else [int(c) for c in self.direction.m],
-            "t": float(self.t),
-            "R_used": float(self.cube_side),
-            "hat_point": [float(c) for c in self.hat_point],
-            "integer_anchor": [int(round(c)) for c in self.integer_anchor],
-        }
+
+# continued-fraction remainder cutoff and final alignment tolerance of
+# classify_direction
+CF_TOL = 1e-9
 
 
-def _cf_ratio(r, tol, max_denominator):
+def _cf_ratio(r, max_denominator):
     """Best rational p/q for r by continued fractions, stopping when the
-    remainder drops below tol or the denominator exceeds the cap.
+    remainder drops below CF_TOL or the denominator exceeds the cap.
 
     Returns (p, q) or None.  Stopping on the CF *remainder* (rather than
     searching all denominators under the cap) is what keeps e.g. sqrt(2)
@@ -113,7 +101,7 @@ def _cf_ratio(r, tol, max_denominator):
     for _ in range(64):
         if abs(q) > max_denominator:
             return None
-        if x < tol:
+        if x < CF_TOL:
             return p, q
         x = 1.0 / x
         a = math.floor(x)
@@ -123,15 +111,13 @@ def _cf_ratio(r, tol, max_denominator):
     return None
 
 
-def classify_direction(v, tol=1e-9, max_denominator=10 ** 4):
+def classify_direction(v, max_denominator=10 ** 4):
     """Classify a vector as a Rational or Irrational direction.
 
     Parameters
     ----------
     v : array_like
         Nonzero vector; only its direction matters (scale invariant).
-    tol : float
-        Continued-fraction remainder cutoff and final alignment tolerance.
     max_denominator : int
         Cap on max |m_i| of the integer representative.
 
@@ -154,15 +140,15 @@ def classify_direction(v, tol=1e-9, max_denominator=10 ** 4):
             den.append(1)
             continue
         r = nu[i] / nu[pivot]
-        pq = _cf_ratio(abs(r), tol, max_denominator)
+        pq = _cf_ratio(abs(r), max_denominator)
         if pq is None:
-            return Direction(nu, IRRATIONAL, None, tol, max_denominator)
+            return Direction(nu, IRRATIONAL, None)
         p, q = pq
         num.append(int(math.copysign(p, r)) if p else 0)
         den.append(max(q, 1))
     lcm = math.lcm(*den)
     if lcm > max_denominator:
-        return Direction(nu, IRRATIONAL, None, tol, max_denominator)
+        return Direction(nu, IRRATIONAL, None)
     m = np.array([n * (lcm // d) for n, d in zip(num, den)], dtype=np.int64)
     m[pivot] = lcm
     if nu[pivot] < 0:
@@ -170,11 +156,11 @@ def classify_direction(v, tol=1e-9, max_denominator=10 ** 4):
     g = math.gcd(*[int(abs(c)) for c in m])
     m //= max(g, 1)
     if np.max(np.abs(m)) > max_denominator:
-        return Direction(nu, IRRATIONAL, None, tol, max_denominator)
+        return Direction(nu, IRRATIONAL, None)
     unit_m = m / np.linalg.norm(m)
-    if np.linalg.norm(unit_m - nu) > tol:
-        return Direction(nu, IRRATIONAL, None, tol, max_denominator)
-    return Direction(nu, RATIONAL, m, tol, max_denominator)
+    if np.linalg.norm(unit_m - nu) > CF_TOL:
+        return Direction(nu, IRRATIONAL, None)
+    return Direction(nu, RATIONAL, m)
 
 
 def in_D_delta(d, delta):
@@ -204,7 +190,7 @@ def _graph_slope(d):
     return pivot, rest, slope
 
 
-def _lattice_block(center, R, k):
+def _lattice_block(center, R):
     """Integer points of the cube of side R centered at R*center, per axis."""
     half = R / 2.0
     axes = []
@@ -230,7 +216,7 @@ def equidist_ratio(d, delta, t0, R):
     pivot, rest, slope = _graph_slope(d)
     if abs(d.nu[pivot]) < 1e-12:
         raise ValueError("direction has no usable graph axis")
-    axes = _lattice_block(np.zeros(len(rest)), float(R), len(rest))
+    axes = _lattice_block(np.zeros(len(rest)), float(R))
     grids = np.meshgrid(*axes, indexing="ij")
     h = np.zeros(grids[0].shape)
     for g, s in zip(grids, slope):
@@ -243,14 +229,16 @@ def equidist_ratio(d, delta, t0, R):
     return {"A": int(A), "N": int(h.size), "ratio": A / h.size}
 
 
+# near_integer_point scans cubes of side _R_START, doubling up to _R_CAP
+_R_START = 4.0
 _R_CAP = 2 ** 16
 
 
-def near_integer_point(d, kprime, delta, R0=4.0):
+def near_integer_point(d, kprime, delta):
     """Find a hyperplane point within fractional gap delta of the lattice.
 
     Scans integer points m of the cube Q'_R(k') over the graph axis,
-    growing R geometrically until some frac(h(m)) <= delta.
+    growing R geometrically from _R_START until some frac(h(m)) <= delta.
 
     Returns
     -------
@@ -271,9 +259,9 @@ def near_integer_point(d, kprime, delta, R0=4.0):
             f"(max |m_i| <= 1/delta = {1.0 / delta:g})")
     pivot, rest, slope = _graph_slope(d)
     kprime = np.asarray(kprime, dtype=float).reshape(len(rest))
-    R = float(R0)
+    R = _R_START
     while R <= _R_CAP:
-        axes = _lattice_block(kprime, R, len(rest))
+        axes = _lattice_block(kprime, R)
         best = None
         for m in product(*[ax.tolist() for ax in axes]):
             h = float(np.dot(slope, m))
@@ -289,9 +277,7 @@ def near_integer_point(d, kprime, delta, R0=4.0):
             anchor[rest] = m
             anchor[pivot] = math.floor(h)
             lattice = HyperplaneLattice(
-                direction=d, cube_side=R,
-                cube_index=np.asarray(kprime),
-                hat_point=hat, integer_anchor=anchor, t=t)
+                direction=d, hat_point=hat, integer_anchor=anchor, t=t)
             return lattice, R
         R *= 2.0
     raise NoNearIntegerPoint(f"no near-integer point up to R = {_R_CAP}")
@@ -454,7 +440,8 @@ class DomainSpec:
                 break
         return y
 
-    def _implicit_grad(self, x, step=1e-6):
+    def _implicit_grad(self, x):
+        step = 1e-6  # central-difference step
         x = np.asarray(x, dtype=float)
         grad = np.zeros_like(x)
         for i in range(x.shape[-1]):
@@ -555,8 +542,13 @@ class DomainSpec:
         return self.sdf(y) < 0
 
 
-def iddc_audit(dom, samples=360, max_denominator=100, tol=1e-9,
-               max_run=2, max_fraction=0.2):
+# iddc_audit's verdict: no run of identical rational normals longer
+# than AUDIT_MAX_RUN samples, and at most AUDIT_MAX_FRACTION rational
+AUDIT_MAX_RUN = 2
+AUDIT_MAX_FRACTION = 0.2
+
+
+def iddc_audit(dom, samples=360, max_denominator=100):
     """Sample boundary normals and look for rational facets.
 
     A sampling heuristic: it can refute the irrational-direction-dense
@@ -578,7 +570,7 @@ def iddc_audit(dom, samples=360, max_denominator=100, tol=1e-9,
             degenerate.append(j)
             keys.append(None)
             continue
-        d = classify_direction(n, tol=tol, max_denominator=max_denominator)
+        d = classify_direction(n, max_denominator=max_denominator)
         if d.is_rational:
             m = d.m
             lead = m[np.nonzero(m)[0][0]]
@@ -613,7 +605,7 @@ def iddc_audit(dom, samples=360, max_denominator=100, tol=1e-9,
         "arclength": (r[1] - r[0]) * total / samples,
     } for r in runs]
     longest = max((iv["n_samples"] for iv in intervals), default=0)
-    verdict = longest <= max_run and frac <= max_fraction \
+    verdict = longest <= AUDIT_MAX_RUN and frac <= AUDIT_MAX_FRACTION \
         and not degenerate
     return {
         "samples": samples,

@@ -64,7 +64,6 @@ class EllipticOperatorSpec:
     dim: int
     period: tuple = ()
     coeff: Optional[Callable] = None
-    coeff_exprs: Optional[dict] = None
     members: tuple = ()
     mode: str = "sup"
 
@@ -150,21 +149,11 @@ class EllipticOperatorSpec:
 
             return EllipticOperatorSpec(
                 "linear", self.lam, self.Lam, self.dim, self.period,
-                coeff=rot_coeff, coeff_exprs=None)
+                coeff=rot_coeff)
         return EllipticOperatorSpec(
             "bellman", self.lam, self.Lam, self.dim, self.period,
             members=tuple(m.rotated(Q) for m in self.members),
             mode=self.mode)
-
-    def to_record(self):
-        rec = {"kind": self.kind, "lambda": self.lam, "Lambda": self.Lam,
-               "dim": self.dim, "period": list(self.period)}
-        if self.coeff_exprs:
-            rec["coefficients"] = dict(self.coeff_exprs)
-        if self.members:
-            rec["members"] = [m.to_record() for m in self.members]
-            rec["mode"] = self.mode
-        return rec
 
 
 def pucci_plus(lam, Lam, dim=2):
@@ -183,8 +172,7 @@ def laplacian(dim=2):
         y = np.asarray(y, dtype=float)
         return np.broadcast_to(eye, y.shape[:-1] + (dim, dim))
 
-    return EllipticOperatorSpec("linear", 1.0, 1.0, dim, coeff=coeff,
-                                coeff_exprs={"identity": "1"})
+    return EllipticOperatorSpec("linear", 1.0, 1.0, dim, coeff=coeff)
 
 
 def linear_operator(exprs, lam, Lam, dim=2, period=()):
@@ -213,7 +201,7 @@ def linear_operator(exprs, lam, Lam, dim=2, period=()):
         return a
 
     return EllipticOperatorSpec("linear", lam, Lam, dim, period=tuple(period),
-                                coeff=coeff, coeff_exprs=dict(exprs))
+                                coeff=coeff)
 
 
 @dataclass
@@ -226,8 +214,6 @@ class SourceAndBoundaryData:
     g: Callable
     f: Optional[Callable] = None
     period: tuple = (1.0, 1.0)
-    g_expr: Optional[str] = None
-    f_expr: Optional[str] = None
 
     @staticmethod
     def from_exprs(g_expr, f_expr=None, dim=2, period=()):
@@ -237,7 +223,7 @@ class SourceAndBoundaryData:
         period = tuple(period) if period else (1.0,) * dim
         return SourceAndBoundaryData(
             g=compile_field(g_expr, dim, prefixes=("x", "y")), f=f,
-            period=period, g_expr=g_expr, f_expr=f_expr)
+            period=period)
 
     def source(self, x):
         """f at the points x, with the fast variable read at y = x."""

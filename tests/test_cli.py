@@ -150,9 +150,42 @@ def test_gbar_points_command(tmp_path):
     })
     assert code == EXIT_OK
     lines = (out / "gbar.csv").read_text().strip().splitlines()
+    assert lines[0] == "x1,x2,s_or_eps,gbar_or_alpha,err"
     assert len(lines) == 3
     rec = json.loads((out / "gbar.json").read_text())
     assert rec["records"][0]["equal"]
+
+
+def test_gbar_points_header_in_3d(tmp_path):
+    # the header names every coordinate of a 3-d point: one column a row
+    code, out = _run(tmp_path, "gbar", {
+        "operator": {"kind": "laplacian", "dim": 3},
+        "g": "0.5*cos(2*pi*y2)**2",
+        "nu": [0.0, 0.0, 1.0],
+        "points": [[0.0, 0.125, 0.0]],
+        "eps_list": [0.5, 0.25],
+        "strip": {"T": 1.0, "L": 2.0, "h": 0.25},
+    })
+    assert code == EXIT_OK
+    header, *rows = (out / "gbar.csv").read_text().strip().splitlines()
+    assert header == "x1,x2,x3,s_or_eps,gbar_or_alpha,err"
+    assert [len(row.split(",")) for row in rows] == [6, 6]
+
+
+def test_gbar_boundary_header(tmp_path):
+    # three boundary normals of a disk: the one at angle pi is rational
+    # and outside D_delta, the other two are sampled
+    code, out = _run(tmp_path, "gbar", {
+        "domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 0.9},
+        "operator": {"kind": "laplacian"},
+        "g": "0.25", "period": [1.0, 1.0],
+        "n_points": 3, "eps_list": [0.25, 0.125], "delta": 0.5,
+        "strip": {"T": 2.0, "L": 4.0, "h": 0.25},
+    })
+    assert code == EXIT_OK
+    header, *rows = (out / "gbar.csv").read_text().strip().splitlines()
+    assert header == "x1,x2,s_or_eps,gbar_or_alpha,err,kind"
+    assert [row.split(",")[-1] for row in rows] == ["irrational"] * 2
 
 
 def test_corrector_outputs(tmp_path):

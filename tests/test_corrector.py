@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homogbc import corrector, fdsolver
 from homogbc.corrector import (build_strip, estimate_gbar, ray_limit,
@@ -24,8 +26,9 @@ def test_rotation_frame():
 
 
 def test_constant_trace_reproduced_exactly():
-    p = build_strip(np.zeros(2), NU_IRR, 1.0, 4.0, 12.0, 1 / 8,
-                    lambda y: np.full(np.atleast_2d(y).shape[0], 0.7),
+    data = SourceAndBoundaryData(
+        g=lambda x, y: np.full(np.shape(y)[:-1], 0.7), period=(1.0, 1.0))
+    p = build_strip(np.zeros(2), NU_IRR, 1.0, 4.0, 12.0, 1 / 8, data,
                     laplacian())
     alpha, err, rec = ray_limit(p)
     assert alpha == pytest.approx(0.7, abs=1e-8)
@@ -75,8 +78,11 @@ def test_strip_discretized_once(monkeypatch):
 
 
 def test_boundary_monotonicity_of_ray_limit():
-    g1 = lambda y: np.cos(2 * math.pi * np.atleast_2d(y)[:, 0])
-    g2 = lambda y: np.cos(2 * math.pi * np.atleast_2d(y)[:, 0]) + 0.4
+    g1 = SourceAndBoundaryData(
+        g=lambda x, y: np.cos(2 * math.pi * y[..., 0]), period=(1.0, 1.0))
+    g2 = SourceAndBoundaryData(
+        g=lambda x, y: np.cos(2 * math.pi * y[..., 0]) + 0.4,
+        period=(1.0, 1.0))
     a1 = ray_limit(build_strip(np.zeros(2), NU_IRR, 0.25, 4.0, 12.0, 1 / 16,
                                g1, laplacian()))[0]
     a2 = ray_limit(build_strip(np.zeros(2), NU_IRR, 0.25, 4.0, 12.0, 1 / 16,
@@ -100,9 +106,10 @@ def test_translation_stability_uniform_in_eps():
 
 
 def test_estimate_gbar_constant_data_equal():
+    data = SourceAndBoundaryData(
+        g=lambda x, y: np.full(np.shape(y)[:-1], -0.3), period=(1.0, 1.0))
     est = estimate_gbar(np.zeros(2), NU_IRR, [0.25, 0.125], 4.0, 12.0, 1 / 16,
-                        lambda y: np.full(np.atleast_2d(y).shape[0], -0.3),
-                        laplacian())
+                        data, laplacian())
     assert est.equal
     assert est.gbar == pytest.approx(-0.3, abs=1e-6)
     assert est.gbar_lower <= est.gbar <= est.gbar_star
@@ -122,7 +129,9 @@ def test_estimate_gbar_spread_within_bars():
 def test_build_strip_refuses_narrow():
     with pytest.raises(ValueError):
         build_strip(np.zeros(2), NU_IRR, 0.25, 4.0, 7.0, 1 / 8,
-                    lambda y: np.zeros(np.atleast_2d(y).shape[0]),
+                    SourceAndBoundaryData(
+                        g=lambda x, y: np.zeros(np.shape(y)[:-1]),
+                        period=(1.0, 1.0)),
                     laplacian())
 
 
@@ -199,9 +208,33 @@ def test_second_pass_starts_from_first(monkeypatch):
 
 def test_strip_in_3d():
     # the datum varies along the second tangential axis only
-    g = lambda y: 0.5 * np.cos(2 * math.pi * np.asarray(y)[..., 1]) ** 2
+    data = SourceAndBoundaryData(
+        g=lambda x, y: 0.5 * np.cos(2 * math.pi * y[..., 1]) ** 2,
+        period=(1.0, 1.0, 1.0))
     p = build_strip(np.array([0.0, 0.125, 0.0]), np.array([0.0, 0.0, 1.0]),
-                    0.5, 1.0, 2.0, 0.25, g, laplacian(3))
+                    0.5, 1.0, 2.0, 0.25, data, laplacian(3))
     assert p.g_sup >= 0.49
     sol = solve_corrector(p)
     assert 0.0 <= sol.alpha <= 0.5
+
+
+@settings(max_examples=20, deadline=None)
+@given(pucci=st.booleans(), c0=st.floats(-1.0, 1.0),
+       amps=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+       angle=st.floats(0.0, 2 * math.pi), eps=st.sampled_from([0.25, 0.125]),
+       x0=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2))
+def test_ray_limit_within_datum_range(pucci, c0, amps, angle, eps, x0):
+    # g = c0 + A cos(2 pi y1) + B cos(2 pi y2) ranges over exactly
+    # [c0 - |A| - |B|, c0 + |A| + |B|]; by the discrete maximum principle
+    # the ray limit stays there, up to 10 tol
+    A, B = amps
+    data = SourceAndBoundaryData(
+        g=lambda x, y: c0 + A * np.cos(2 * math.pi * y[..., 0])
+        + B * np.cos(2 * math.pi * y[..., 1]), period=(1.0, 1.0))
+    op = pucci_plus(1.0, 2.0) if pucci else laplacian()
+    tol = 1e-8
+    p = build_strip(np.asarray(x0), [math.cos(angle), math.sin(angle)], eps,
+                    2.0, 8.0, 1 / 8, data, op)
+    alpha = ray_limit(p, tol=tol)[0]
+    spread = abs(A) + abs(B)
+    assert c0 - spread - 10 * tol <= alpha <= c0 + spread + 10 * tol

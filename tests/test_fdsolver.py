@@ -565,3 +565,41 @@ def test_krylov_problem_never_builds_the_order(monkeypatch, bump3d):
     assert rec["converged"]
     assert all(s["path"] == "bicgstab" and s["fill"] is None
                for s in rec["solves"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.sampled_from([2, 3]), order=st.sampled_from([1, 2]),
+       nodes=st.integers(1, 6), cross=st.booleans(),
+       slack=st.sampled_from([-1e-9, 0.0, 1e-9, None]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_monotone_certificate_holds_or_raises(dim, order, nodes, cross,
+                                              slack, seed):
+    # either nonnegative weights whose second differences rebuild a, or
+    # a CertificateError exactly when some row loses diagonal dominance
+    # beyond 1e-12 or an order-1 stencil meets a cross term; a ``slack``
+    # puts every diagonal on the dominance boundary or 1e-9 off it, and
+    # None draws the diagonals at random
+    rng = np.random.default_rng(seed)
+    a = np.zeros((nodes, dim, dim))
+    if cross:
+        off = rng.uniform(-1.0, 1.0, (nodes, dim, dim))
+        a = np.triu(off, 1) + np.swapaxes(np.triu(off, 1), 1, 2)
+    dominance = np.abs(a).sum(axis=2)
+    idx = np.arange(dim)
+    a[:, idx, idx] = rng.uniform(0.0, 2.0, (nodes, dim)) if slack is None \
+        else dominance + slack
+    margin = np.stack([a[:, i, i] - sum(np.abs(a[:, i, j])
+                                        for j in range(dim) if j != i)
+                       for i in range(dim)])
+    fails = bool(np.any(margin < -1e-12)) or (order == 1 and cross)
+    if fails:
+        with pytest.raises(CertificateError):
+            monotone_weights(a, dim, order=order)
+        return
+    weights = monotone_weights(a, dim, order=order)
+    rebuilt = np.zeros_like(a)
+    for d, w in weights.items():
+        assert np.all(w >= 0.0)
+        e = np.asarray(d, float)
+        rebuilt += w[:, None, None] * np.outer(e, e) / (e @ e)
+    np.testing.assert_allclose(rebuilt, a, rtol=0.0, atol=1e-12)

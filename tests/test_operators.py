@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homogbc.operators import (EllipticOperatorSpec,
                                effective_operator_estimate, laplacian,
@@ -163,3 +165,53 @@ def test_rotated_multiple_of_identity_is_unchanged():
     lap3 = laplacian(3)
     Q3 = np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3) + np.eye(3))[0]
     assert lap3.rotated(Q3) is lap3
+
+
+def _anisotropic(dim):
+    """A constant linear operator that every rotation changes."""
+    exprs = {f"a{i + 1}{i + 1}": str(1.2 + 0.2 * i) for i in range(dim)}
+    exprs["a12"] = "0.3"
+    return linear_operator(exprs, 1.0, 2.0, dim=dim)
+
+
+def _y_dependent(dim):
+    exprs = {f"a{i + 1}{i + 1}": f"1.5 + 0.3*cos(2*pi*y{i + 1})"
+             for i in range(dim)}
+    exprs["a12"] = "0.2*sin(2*pi*(y1 + y2))"
+    if dim == 3:
+        exprs["a13"] = "0.1*cos(2*pi*y3)"
+        exprs["a23"] = "0.1*sin(2*pi*y1)"
+    return linear_operator(exprs, 1.0, 2.0, dim=dim)
+
+
+def _bellman(mode):
+    return lambda dim: EllipticOperatorSpec(
+        "bellman", 1.0, 2.0, dim, mode=mode,
+        members=(_anisotropic(dim), _y_dependent(dim), laplacian(dim)))
+
+
+_ROTATABLE = {
+    "pucci_plus": lambda dim: pucci_plus(1.0, 2.0, dim),
+    "pucci_minus": lambda dim: pucci_minus(1.0, 2.0, dim),
+    "anisotropic": _anisotropic,
+    "y_dependent": _y_dependent,
+    "bellman_sup": _bellman("sup"),
+    "bellman_inf": _bellman("inf"),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(_ROTATABLE)), dim=st.sampled_from([2, 3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rotated_evaluates_the_rotated_hessian(kind, dim, seed):
+    # F rotated by Q at Mt is F at Q Mt Q^T, for every kind that
+    # ``rotated`` transforms its own way
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    if np.linalg.det(Q) < 0:
+        Q[:, 0] = -Q[:, 0]
+    Mt = _rand_sym(rng, dim, scale=2.0)
+    y = rng.uniform(0.0, 1.0, dim)
+    op = _ROTATABLE[kind](dim)
+    got = op.rotated(Q).evaluate(Mt, y)
+    assert abs(got - op.evaluate(Q @ Mt @ Q.T, y)) <= 1e-10
