@@ -172,14 +172,12 @@ def _trace_mean_varies(data, x0, m, tol):
     tau = np.array([-m[1], m[0]])
     period = float(np.linalg.norm(m))
     s = (np.arange(512) + 0.5) / 512 * period
-    x0 = np.asarray(x0, float)
-    means = []
-    for k in range(8):
-        y0 = (k / 8.0) * m / (m @ m)
-        Y = y0 + s[:, None] * tau / period
-        X = np.broadcast_to(x0, Y.shape)
-        means.append(float(np.mean(np.asarray(data.g(X, Y), dtype=float))))
-    return max(means) - min(means) > tol
+    # the 8 offsets' lines of 512 points each, in one call of g
+    y0 = (np.arange(8) / 8.0)[:, None] * m / (m @ m)
+    Y = y0[:, None, :] + s[:, None] * tau / period
+    X = np.broadcast_to(np.asarray(x0, float), Y.shape)
+    means = np.mean(np.asarray(data.g(X, Y), dtype=float), axis=1)
+    return float(np.max(means) - np.min(means)) > tol
 
 
 # boundary points scanned for rational normals by _rational_direction_balls
@@ -200,7 +198,7 @@ def _rational_direction_balls(p, delta, radius):
     dom = p.domain
     n = dom.dim
     M = int(math.floor(1.0 / delta))
-    g_osc_tol = 0.02 * max(p.data.g_sup(), 1e-12)
+    g_osc_tol = 0.02 * max(p.data.g_sup(np.zeros(p.domain.dim)), 1e-12)
     units = []
     for m in itertools.product(range(-M, M + 1), repeat=n):
         if not any(m):
@@ -262,7 +260,7 @@ def sample_gbar_on_boundary(p, n_points, eps_list, delta, T=4.0, L=None,
     pts, normals, arcs, total = p.domain.boundary_points(n_points,
                                                          offset=offset)
     env = BoundaryEnvelope(delta=float(delta), total_length=float(total))
-    env.g_sup = p.data.g_sup()
+    env.g_sup = p.data.g_sup(np.zeros(p.domain.dim))
     excluded_radius = delta * p.domain.diameter / 16.0
     env.excluded = _rational_direction_balls(p, delta, excluded_radius)
     cache = {}

@@ -21,11 +21,15 @@ into CSR (a sparse LU, or BiCGSTAB for large 3-d systems; every
 solve is checked by its residual), and re-optimize until the nonlinear
 residual is below tolerance.  Every direct solve factors its matrix
 under one nested-dissection order of the grid's unknowns (George
-1973), computed once per problem and only when it first factors.  On
-the Krylov path Howard is inexact (Dembo-Eisenstat-Steihaug forcing):
-each BiCGSTAB starts from the current iterate and stops at ETA times
-its nonlinear residual, and the loop accepts only after a
-full-accuracy solve.  A linear problem assembles its matrix once.
+1973), computed once per problem and only when it first factors.
+Howard is inexact (Dembo-Eisenstat-Steihaug forcing): each BiCGSTAB
+starts from the current iterate and stops at ETA times its nonlinear
+residual, and the loop accepts only after a full-accuracy solve.
+Below the Krylov switch the first policy is factored, and BiCGSTAB is
+preconditioned by the LU of the last factored policy; each
+factorization buys PRECOND_BUDGET iterations, after which the policy
+at hand is factored and solved exactly.  A linear problem assembles
+its matrix once.
 Inside a ``factor_reuse`` scope the sparse LU of the last linear
 system is kept, and a later linear system with the same matrix is
 served by a back-solve.
@@ -725,8 +729,26 @@ def factor_reuse():
         _scope = None
 
 
+class _Preconditioner:
+    """The LU of the last policy one Howard solve factored, and the
+    preconditioned BiCGSTAB iterations it has left: each factorization
+    buys PRECOND_BUDGET of them, shared by the policies it serves."""
+
+    def __init__(self):
+        self.lu = None
+        self.budget = 0
+
+    def factor(self, B, order):
+        """Drop the held LU, then factor ``B`` under ``order()``: one
+        LU is alive at a time."""
+        self.lu = None
+        self.lu = _Factor(B, order())
+        self.budget = PRECOND_BUDGET
+        return self.lu
+
+
 def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
-                  report=None):
+                  report=None, precond=None):
     """Solve the assembled system B x = b (B = -L, an M-matrix).
 
     A direct solve factors B under the elimination order ``order()``,
@@ -738,42 +760,64 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
     than falling back to a direct solve of the same size.  On that
     path a ``target`` above the full-accuracy floor 1e-12 ||b||_2
     makes the solve inexact: BiCGSTAB stops once ||Bx - b||_2 <
-    target, and the true residual of the x it returns is checked
-    against the target.  Every other x (direct, or Krylov at full
-    accuracy: rtol 1e-12) is checked by its normwise backward error
+    target.  Below the switch a target is met the same way when
+    ``precond`` (a ``_Preconditioner``) holds an LU with budget left:
+    BiCGSTAB from ``x0``, preconditioned by that LU, runs at most the
+    remaining budget.  Otherwise, or once the budget runs out short of
+    the target, B is factored (by ``precond`` if given, which then
+    holds that LU) and the solve is direct.
+    The true residual of an inexact x is checked against its target.
+    Every other x (direct, or Krylov at full accuracy: rtol 1e-12) is
+    checked by its normwise backward error
     ||Bx - b|| / (||B|| ||x|| + ||b||) in the max norm against
     RESIDUAL_CHECK.  A failed check raises SolveError.
     ``report``, if given, receives the path taken (``direct``,
-    ``lu_reuse`` or ``bicgstab``), the Krylov iteration count, the
-    checked residual, the stopping ``target`` (None at full accuracy)
-    and the ``fill`` of the LU used (None on the Krylov path).
+    ``lu_reuse``, ``lu_precond`` or ``bicgstab``), the Krylov
+    iteration count (a spent budget's included), the checked residual,
+    the stopping ``target`` (None at full accuracy) and the ``fill``
+    of the LU used (None on the Krylov path).
     """
     B, b, norm = system
     n = B.shape[0]
     krylov = 0
     fill = None
     on_krylov = n > 400_000 or (dim >= 3 and n > 60_000)
-    if not on_krylov or target is not None and \
-            target <= 1e-12 * np.linalg.norm(b):
-        target = None  # a direct solve, or a Krylov one at its floor
-    if on_krylov:
+    if target is not None and target <= 1e-12 * np.linalg.norm(b):
+        target = None  # the full-accuracy floor
+    preconditioned = not on_krylov and target is not None and \
+        precond is not None and precond.budget > 0
+    x = None
+    if on_krylov or preconditioned:
         def count(_):
             nonlocal krylov
             krylov += 1
 
-        path = "bicgstab"
-        x, info = spla.bicgstab(B, b, x0=x0, rtol=1e-12,
-                                atol=0.0 if target is None else target,
-                                maxiter=2000, callback=count)
-        if info != 0:
+        path = "lu_precond" if preconditioned else "bicgstab"
+        # the preconditioner is built inline: no reference to its LU
+        # outlives the call, so a factorization below frees it
+        x, info = spla.bicgstab(
+            B, b, x0=x0, rtol=1e-12, atol=0.0 if target is None else target,
+            maxiter=precond.budget if preconditioned else 2000,
+            M=spla.LinearOperator((n, n), matvec=precond.lu.solve,
+                                  dtype=float) if preconditioned else None,
+            callback=count)
+        if preconditioned:
+            precond.budget -= krylov
+            fill = precond.lu.fill
+            if info != 0:  # budget spent or breakdown: factor B
+                x = None
+        elif info != 0:
             raise SolveError(f"BiCGSTAB failed on {n} unknowns (info {info})")
-    else:
+    if x is None:
         path = "direct"
+        target = None
         if linear and _scope is not None:
             reused = _scope.reused_solves
             lu = _scope.factor(B, order)
             if _scope.reused_solves > reused:
                 path = "lu_reuse"
+        elif precond is not None:
+            lu = precond.factor(B, order)
         else:
             lu = _Factor(B, order())
         x = lu.solve(b)
@@ -799,6 +843,9 @@ RESIDUAL_CHECK = 1e-10
 # forcing term of inexact Howard: a Krylov solve of policy k stops at
 # ETA times the nonlinear residual of the iterate it starts from
 ETA = 0.1
+# preconditioned BiCGSTAB iterations one LU serves below the Krylov
+# switch before the policy at hand is factored instead
+PRECOND_BUDGET = 25
 MAX_POLICIES = 50
 
 
@@ -818,14 +865,18 @@ def solve_dirichlet(p, tol=1e-8, start=None):
     ``start`` if given (e.g. the solution of a nearby problem on the
     same grid), else the mean of the boundary ring.
 
-    Direct solves are exact.  On the Krylov path Howard is inexact
-    (Dembo-Eisenstat-Steihaug): the solve of policy k starts from the
-    iterate u_k and stops at ETA ||r_k||_2, r_k = F_h(u_k) - f being
-    both the nonlinear residual and that solve's initial linear
-    residual.  The loop accepts or stops only after a full-accuracy
-    solve, so a policy that repeats after an inexact solve is solved
-    again at full accuracy (and a linear problem, with its one policy,
-    is solved at full accuracy at once).
+    Howard is inexact (Dembo-Eisenstat-Steihaug): the solve of policy
+    k starts from the iterate u_k and stops at ETA ||r_k||_2, r_k =
+    F_h(u_k) - f being both the nonlinear residual and that solve's
+    initial linear residual.  On the Krylov path that solve is plain
+    BiCGSTAB.  Below the switch the first policy is factored and
+    solved exactly; a later one runs BiCGSTAB preconditioned by the LU
+    of the last factored policy, within that LU's budget of
+    PRECOND_BUDGET iterations, and is factored and solved exactly
+    once the budget runs out.  The loop accepts or stops only after a
+    full-accuracy solve, so a policy that repeats after an inexact
+    solve is solved again at full accuracy (and a linear problem, with
+    its one policy, is solved at full accuracy at once).
 
     Returns (GridField, record); the record lists every linear solve's
     path, Krylov iterations, checked residual, target and LU fill
@@ -846,13 +897,14 @@ def solve_dirichlet(p, tol=1e-8, start=None):
     # one extremum per iterate: its F gives the residual and its
     # policy the next linear system
     r, weights = p.evaluate(u, want_policy=True)
+    precond = None if p.linear else _Preconditioner()
     for _ in range(MAX_POLICIES):
         report = {}
         u[p.int_flat] = _solve_sparse(
             p.assemble(weights), grid.dim, lambda: p.order,
             linear=p.linear, x0=u[p.int_flat],
             target=None if exact else ETA * float(np.linalg.norm(r)),
-            report=report)
+            report=report, precond=precond)
         solves.append(report)
         r, next_weights = p.evaluate(u, want_policy=True)
         res = float(np.max(np.abs(r)))

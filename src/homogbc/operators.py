@@ -209,11 +209,12 @@ class SourceAndBoundaryData:
     """Source f(x, y) and boundary datum g(x, y), periodic in y.
 
     ``g`` and ``f`` take (x_points, y_points) of shape (..., n): x is
-    the slow variable and y the fast one.
+    the slow variable and y the fast one.  ``period`` is the cell's
+    side per axis; empty means the unit cell of the points' dimension.
     """
     g: Callable
     f: Optional[Callable] = None
-    period: tuple = (1.0, 1.0)
+    period: tuple = ()
 
     @staticmethod
     def from_exprs(g_expr, f_expr=None, dim=2, period=()):
@@ -233,8 +234,10 @@ class SourceAndBoundaryData:
 
     def g_sup(self, x0=None):
         """sup |g(x0, y)| over one period cell, sampled on 96 points per
-        axis (x0 defaults to the origin)."""
-        axes = [np.linspace(0, p, 96, endpoint=False) for p in self.period]
+        axis (x0 defaults to the origin; an empty period is the unit
+        cell of x0's dimension, of the plane's without x0)."""
+        period = self.period or (1.0,) * (2 if x0 is None else np.size(x0))
+        axes = [np.linspace(0, p, 96, endpoint=False) for p in period]
         Y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         X = np.zeros_like(Y) if x0 is None else np.broadcast_to(
             np.asarray(x0, float), Y.shape).copy()

@@ -238,3 +238,33 @@ def test_disk_sweep_factors_laplace_strip_once(cosdata_problem, offset):
                                   offset=offset)
     assert env.samples
     assert env.factor_reuse["factorizations"] == 1
+
+
+def _trace_spread(data, x0, m):
+    # the offset loop _trace_mean_varies replaced: one call of g per
+    # hyperplane offset
+    m = np.asarray(m, float)
+    tau = np.array([-m[1], m[0]])
+    period = float(np.linalg.norm(m))
+    s = (np.arange(512) + 0.5) / 512 * period
+    means = []
+    for k in range(8):
+        Y = (k / 8.0) * m / (m @ m) + s[:, None] * tau / period
+        X = np.broadcast_to(np.asarray(x0, float), Y.shape)
+        means.append(float(np.mean(data.g(X, Y))))
+    return max(means) - min(means)
+
+
+@pytest.mark.parametrize("g", [
+    "cos(2*pi*y1)*cos(2*pi*y2)",
+    "x1*sin(2*pi*(2*y1 + 3*y2)) + 0.3*cos(6*pi*y1)"])
+def test_trace_mean_scan_matches_the_offset_loop(g):
+    # one call of g over all offsets gives the loop's spread bit for
+    # bit: the decision flips exactly at the loop's spread
+    data = SourceAndBoundaryData.from_exprs(g, dim=2)
+    x0 = np.array([0.3, -0.7])
+    for m in [(1, 0), (1, 1), (2, -1), (3, 7), (-10, 9)]:
+        spread = _trace_spread(data, x0, m)
+        assert not effective._trace_mean_varies(data, x0, m, spread)
+        assert effective._trace_mean_varies(
+            data, x0, m, np.nextafter(spread, -np.inf))

@@ -261,6 +261,10 @@ def test_perturbed_direct_solve_raises(monkeypatch):
 
 
 def test_record_names_each_solve_path():
+    # a linear problem factors once and back-solves in a scope; a 2-d
+    # Pucci solve factors its first policy and preconditions later ones
+    # by that LU, and every solve reports its path, Krylov count,
+    # checked residual, target and the fill of the LU it used
     p = discretize(laplacian(), RECT, 1 / 16, boundary=_harmonic)
     with factor_reuse():
         recs = [solve_dirichlet(p)[1] for _ in range(2)]
@@ -269,9 +273,17 @@ def test_record_names_each_solve_path():
     assert [s["path"] for r in recs for s in r["solves"]] == \
         ["direct", "lu_reuse"]
     assert len(rec["solves"]) == rec["iterations"] > 1
-    for s in recs[0]["solves"] + recs[1]["solves"] + rec["solves"]:
+    paths = [s["path"] for s in rec["solves"]]
+    assert paths[0] == paths[-1] == "direct"
+    assert set(paths) == {"direct", "lu_precond"}
+    for s in recs[0]["solves"] + recs[1]["solves"]:
         assert s["krylov_iterations"] == 0
-        assert 0.0 <= s["residual"] <= 1e-14
+    for s in recs[0]["solves"] + recs[1]["solves"] + rec["solves"]:
+        if s["path"] == "lu_precond":
+            assert 0.0 <= s["residual"] <= s["target"]
+        else:
+            assert s["target"] is None
+            assert 0.0 <= s["residual"] <= 1e-14
         assert s["fill"] >= q.n_interior
     assert recs[0]["solves"][0]["fill"] == recs[1]["solves"][0]["fill"]
 
@@ -565,6 +577,154 @@ def test_krylov_problem_never_builds_the_order(monkeypatch, bump3d):
     assert rec["converged"]
     assert all(s["path"] == "bicgstab" and s["fill"] is None
                for s in rec["solves"])
+
+
+@pytest.fixture(scope="module")
+def bump2d():
+    # the envelope's extremal bump in small: Pucci+(1, 1) on a disk,
+    # 1 on a boundary ball and 0 beyond twice its radius
+    z = 0.9 * np.array([math.cos(0.7), math.sin(0.7)])
+
+    def bump(x):
+        d = np.linalg.norm(np.atleast_2d(x) - z, axis=-1)
+        return np.clip(2.0 - 2.0 * d / 0.1, 0.0, 1.0)
+
+    return discretize(pucci_plus(1.0, 1.0), DomainSpec.disk(
+        (0.0, 0.0), 0.9), 1 / 48, boundary=bump)
+
+
+def _factorizations(rec):
+    return sum(s["path"] == "direct" for s in rec["solves"])
+
+
+def test_preconditioned_howard_matches_full_accuracy(monkeypatch, bump2d):
+    # below the Krylov switch a later policy is solved by BiCGSTAB
+    # preconditioned with the last LU and stops at ETA times the
+    # residual of its start; the accepted field is as good as that of
+    # a Howard solve that factors every policy
+    p = bump2d
+    tol = 1e-8
+    inexact, rec = solve_dirichlet(p, tol=tol)
+    monkeypatch.setattr(fdsolver, "ETA", 0.0)
+    exact, exact_rec = solve_dirichlet(p, tol=tol)
+    assert rec["converged"] and rec["residual_history"][-1] <= tol
+    assert all(s["path"] == "direct" and s["target"] is None
+               for s in exact_rec["solves"])
+    assert rec["solves"][0]["path"] == "direct"
+    assert any(s["path"] == "lu_precond" for s in rec["solves"])
+    assert all((s["path"] == "lu_precond") == (s["target"] is not None)
+               for s in rec["solves"])
+    assert _within_targets(rec) and _within_targets(exact_rec)
+    assert rec["solves"][-1]["target"] is None
+    assert _factorizations(rec) < rec["iterations"]
+    assert _factorizations(rec) < _factorizations(exact_rec)
+    # C = diam^2 / (2 lam), the comparison constant
+    C = 1.8 ** 2 / 2.0
+    assert np.max(np.abs(inexact.values - exact.values)) <= 2 * C * tol
+
+
+def test_preconditioned_solve_starts_from_the_iterate(monkeypatch, bump2d):
+    # each preconditioned BiCGSTAB starts from the iterate it is about
+    # to replace, the one the previous solve returned
+    p = bump2d
+    bicgstab = fdsolver.spla.bicgstab
+    calls = []
+
+    def recorded(B, b, x0=None, M=None, **kwargs):
+        assert M is not None
+        x, info = bicgstab(B, b, x0=x0, M=M, **kwargs)
+        calls.append((len(solves), x0.copy(), x))
+        return x, info
+
+    solve_sparse = fdsolver._solve_sparse
+    solves = []
+
+    def kept(*args, **kwargs):
+        solves.append(solve_sparse(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(fdsolver.spla, "bicgstab", recorded)
+    monkeypatch.setattr(fdsolver, "_solve_sparse", kept)
+    _, rec = solve_dirichlet(p)
+    precond = [k for k, s in enumerate(rec["solves"])
+               if s["path"] == "lu_precond"]
+    assert precond and [k for k, _, _ in calls if k in precond] == precond
+    for k, x0, _ in calls:
+        assert np.array_equal(x0, solves[k - 1])
+
+
+def test_perturbed_preconditioned_solve_raises(monkeypatch, bump2d):
+    # a preconditioned solve is checked by its true residual against
+    # its target before the iterate uses it
+    bicgstab = fdsolver.spla.bicgstab
+
+    def perturbed(B, b, **kwargs):
+        x, info = bicgstab(B, b, **kwargs)
+        return x + 1e-3 * np.random.default_rng(0).standard_normal(
+            x.size), info
+
+    monkeypatch.setattr(fdsolver.spla, "bicgstab", perturbed)
+    with pytest.raises(SolveError, match="inexact lu_precond solve"):
+        solve_dirichlet(bump2d)
+
+
+def test_policy_repeated_after_preconditioned_solve_is_resolved(
+        monkeypatch, bump2d):
+    # a preconditioned solve that leaves the iterate as it found it
+    # makes its policy repeat; the loop factors that policy and solves
+    # it at full accuracy rather than stop at a policy fixed point
+    bicgstab = fdsolver.spla.bicgstab
+    eta = fdsolver.ETA
+    calls = []
+
+    def lazy(B, b, x0=None, **kwargs):
+        calls.append(kwargs["atol"])
+        if len(calls) == 1:
+            monkeypatch.setattr(fdsolver, "ETA", eta)
+            return x0.copy(), 0
+        return bicgstab(B, b, x0=x0, **kwargs)
+
+    # ETA above 1 lets the unchanged start pass its residual check
+    monkeypatch.setattr(fdsolver, "ETA", 1.5)
+    monkeypatch.setattr(fdsolver.spla, "bicgstab", lazy)
+    _, rec = solve_dirichlet(bump2d)
+    first, second, third = rec["solves"][:3]
+    assert first["path"] == "direct" and first["target"] is None
+    assert second["path"] == "lu_precond"
+    assert second["krylov_iterations"] == 0
+    assert rec["residual_history"][1] == rec["residual_history"][0] > \
+        rec["tol"]
+    assert third["path"] == "direct" and third["target"] is None
+    assert rec["converged"] and rec["residual_history"][-1] <= rec["tol"]
+    assert _within_targets(rec)
+
+
+def test_spent_budget_drops_the_lu_before_factoring(monkeypatch, bump2d):
+    # once a preconditioned attempt spends the LU's budget, the policy
+    # at hand is factored, and the old LU is freed first: no two LUs
+    # are alive at once
+    import weakref
+
+    live = []
+    factor = fdsolver._Factor
+
+    class Watched(factor):
+        def __init__(self, B, order):
+            assert not [r for r in live if r() is not None]
+            super().__init__(B, order)
+            live.append(weakref.ref(self))
+
+    monkeypatch.setattr(fdsolver, "_Factor", Watched)
+    monkeypatch.setattr(fdsolver, "PRECOND_BUDGET", 3)
+    u, rec = solve_dirichlet(bump2d)
+    assert len(live) == _factorizations(rec) > 2
+    spent = [s for s in rec["solves"]
+             if s["path"] == "direct" and s["krylov_iterations"] > 0]
+    assert spent and all(s["target"] is None for s in spent)
+    assert all(s["krylov_iterations"] <= 3 for s in rec["solves"])
+    assert rec["converged"] and _within_targets(rec)
+    del u
+    assert not [r for r in live if r() is not None]
 
 
 @settings(max_examples=80, deadline=None)

@@ -148,6 +148,18 @@ def test_norm_estimates_present():
     assert slow.g_sup(np.array([0.5, 0.0])) == 0.5
 
 
+def test_default_period_is_the_unit_cell_of_the_points():
+    # a datum built without a period samples the unit cell of x0's
+    # dimension: a 3-d g may read y3
+    from homogbc.operators import SourceAndBoundaryData
+    top = np.linspace(0.0, 1.0, 96, endpoint=False)[-1]
+    space = SourceAndBoundaryData(g=lambda x, y: y[..., 2] + x[..., 0])
+    assert space.g_sup(np.zeros(3)) == top
+    assert space.g_sup(np.array([1.0, 0.0, 0.0])) == top + 1.0
+    plane = SourceAndBoundaryData(g=lambda x, y: y[..., 0] + y[..., 1])
+    assert plane.g_sup() == plane.g_sup(np.zeros(2)) == 2.0 * top
+
+
 def test_rotated_multiple_of_identity_is_unchanged():
     # Q^T (cI) Q = cI: returning the operator itself keeps the strip
     # matrix bit-identical in every frame
