@@ -8,9 +8,11 @@ bottom carries the exact trace, lateral faces the constant-in-height
 extension of their bottom foot, and the top the running mean of the
 bottom trace (refined once from a first ray-limit estimate).  The strip
 is discretized once and solved twice; the two solves differ only in the
-top-face values, and the second starts from the first's field.  The
-lateral truncation error is certified by the explicit quadratic
-barrier.
+top-face values, and the second starts from the first's field.  Under a
+nonlinear operator the first solve also returns the field's linear
+response to the top value, so the second starts from the first's field
+moved by that response.  The lateral truncation error is certified by
+the explicit quadratic barrier.
 
 Ray limits alpha_eps are read as the window average at t* = 3T/4 with
 error bar W_{t*} + truncation bound + solver tolerance; the estimator
@@ -66,9 +68,7 @@ def rotation_frame(nu):
 @dataclass
 class HalfspaceCorrectorProblem:
     """A truncated corrector problem in rotated strip coordinates."""
-    x0: np.ndarray
     nu: Direction
-    epsilon: float
     y0_eps: np.ndarray
     Q: np.ndarray
     T: float
@@ -116,7 +116,6 @@ class CorrectorSolution:
     profile: OscillationProfile
     alpha: float
     truncation_bound: float
-    solver_record: dict
     tol: float
 
 
@@ -144,7 +143,7 @@ def build_strip(x0, nu, epsilon, T, L, h, data, op, seed=0):
     y0 = x0 / epsilon
     Q = rotation_frame(d.nu)
     return HalfspaceCorrectorProblem(
-        x0=x0, nu=d, epsilon=float(epsilon), y0_eps=y0, Q=Q,
+        nu=d, y0_eps=y0, Q=Q,
         T=float(T), L=float(L), h=float(h),
         g=lambda y: np.asarray(data.g(np.broadcast_to(x0, np.shape(y)), y),
                                dtype=float),
@@ -220,7 +219,9 @@ def solve_corrector(p, tol=1e-8):
     The strip is discretized once and solved twice: the top Dirichlet
     value starts as the mean of the bottom trace and is refined once
     from a first ray-limit readout; the two solves differ only in the
-    top-face values, and the second starts from the first's field.
+    top-face values.  The second starts from the first's field; under
+    a nonlinear operator, plus the first's linear response psi to the
+    top value times the change in that value.
 
     Returns a CorrectorSolution.
     """
@@ -229,11 +230,18 @@ def solve_corrector(p, tol=1e-8):
     top0 = float(np.mean(np.concatenate(_tangential_traces(p, s))))
     heights = [p.T * k / 8.0 for k in range(1, 9)]  # heights[5] = t*
     prob.grid.values[top] = top0
-    grid, rec = solve_dirichlet(prob, tol=tol)
+    # a linear strip's second pass is one back-solve of the shared LU,
+    # so only a nonlinear strip asks for its response psi
+    grid, _, *psi = solve_dirichlet(prob, tol=tol,
+                                    response=None if prob.linear else top)
     means, W = _window_readout(p, grid, heights)
     if abs(means[5] - top0) > 1e-12:
         prob.grid.values[top] = means[5]
-        grid, rec = solve_dirichlet(prob, tol=tol, start=grid)
+        start = grid
+        if psi:
+            start = grid.copy()
+            start.values += (means[5] - top0) * psi[0].values
+        grid, _ = solve_dirichlet(prob, tol=tol, start=start)
         means, W = _window_readout(p, grid, heights)
     pos = [(t, w) for t, w in zip(heights, W) if w > 1e-13]
     if len(pos) >= 2:
@@ -252,8 +260,7 @@ def solve_corrector(p, tol=1e-8):
         window_halfwidth=p.L / 4.0, t_star=0.75 * p.T)
     return CorrectorSolution(
         field=grid, profile=profile, alpha=means[5],
-        truncation_bound=trace_oscillation(p) * factor,
-        solver_record=rec, tol=tol)
+        truncation_bound=trace_oscillation(p) * factor, tol=tol)
 
 
 def ray_limit(p, sol=None, tol=1e-8):

@@ -422,6 +422,27 @@ class DiscreteProblem:
         return B, float(np.max(np.add.reduceat(np.abs(B.data),
                                                B.indptr[:-1])))
 
+    def _scaled(self, weights):
+        """A policy's slopes per direction, broadcast over the interior
+        nodes, and its arm weights (the slopes over (h|d|)^2)."""
+        h = self.grid.h
+        c = {d: np.broadcast_to(np.asarray(cd, dtype=float),
+                                (self.n_interior,))
+             for d, cd in weights.items()}
+        return c, {d: cd / (h * h * float(np.dot(d, d)))
+                   for d, cd in c.items()}
+
+    def _add_ring(self, b, w, values):
+        """Add to ``b`` what the ring values of the grid array
+        ``values`` contribute under the arm weights ``w``."""
+        vals_flat = values.ravel()
+        for d, wd in w.items():
+            for _, _, _, ring, nb in self._arms[d]:
+                wr = wd.take(ring)
+                live = wr > 0
+                b[ring[live]] += wr[live] * vals_flat[nb[live]]
+        return b
+
     def assemble(self, weights):
         """The frozen-policy system B x = b: B = -L and b = -rhs for the
         sparse system L u_int = rhs.
@@ -432,24 +453,23 @@ class DiscreteProblem:
         assembled once; later calls rebuild only b from the current
         ring values.
         """
-        h = self.grid.h
-        c = {d: np.broadcast_to(np.asarray(cd, dtype=float),
-                                (self.n_interior,))
-             for d, cd in weights.items()}
-        w = {d: cd / (h * h * float(np.dot(d, d))) for d, cd in c.items()}
+        c, w = self._scaled(weights)
         if self.linear and self._fixed is None:
             self._fixed = self._matrix(w)
         B, norm = self._fixed if self.linear else self._matrix(w)
-        vals_flat = self.grid.values.ravel()
-        b = -np.asarray(self.f, dtype=float)
-        for d, wd in w.items():
-            for _, _, _, ring, nb in self._arms[d]:
-                wr = wd.take(ring)
-                live = wr > 0
-                b[ring[live]] += wr[live] * vals_flat[nb[live]]
-            if self.shift is not None:
+        b = self._add_ring(-np.asarray(self.f, dtype=float), w,
+                           self.grid.values)
+        if self.shift is not None:
+            for d in w:
                 b += c[d] * self.shift[d]
         return LinearSystem(B, b, norm)
+
+    def ring_rhs(self, weights, values):
+        """The right-hand side that the ring values of the grid array
+        ``values`` alone contribute to the system of policy ``weights``
+        (no source, no shift)."""
+        return self._add_ring(np.zeros(self.n_interior),
+                              self._scaled(weights)[1], values)
 
 
 # nested dissection stops at boxes of at most this many grid nodes
@@ -732,7 +752,7 @@ def factor_reuse():
 class _Preconditioner:
     """The LU of the last policy one Howard solve factored, and the
     preconditioned BiCGSTAB iterations it has left: each factorization
-    buys PRECOND_BUDGET of them, shared by the policies it serves."""
+    buys PRECOND_BUDGET of them, shared by the solves it serves."""
 
     def __init__(self):
         self.lu = None
@@ -757,25 +777,29 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
     iterate) solved directly inside a ``factor_reuse`` scope goes
     through the scope's retained LU.  Large systems take BiCGSTAB only,
     started from ``x0`` if given; a Krylov failure raises SolveError rather
-    than falling back to a direct solve of the same size.  On that
-    path a ``target`` above the full-accuracy floor 1e-12 ||b||_2
-    makes the solve inexact: BiCGSTAB stops once ||Bx - b||_2 <
-    target.  Below the switch a target is met the same way when
+    than falling back to a direct solve of the same size.  A ``target``
+    above the full-accuracy floor 1e-12 ||b||_2 makes a Krylov solve
+    inexact: BiCGSTAB stops once ||Bx - b||_2 < target; without one it
+    runs to rtol 1e-12.  Below the switch the same holds when
     ``precond`` (a ``_Preconditioner``) holds an LU with budget left:
     BiCGSTAB from ``x0``, preconditioned by that LU, runs at most the
-    remaining budget.  Otherwise, or once the budget runs out short of
-    the target, B is factored (by ``precond`` if given, which then
-    holds that LU) and the solve is direct.
+    remaining budget (with B's own LU it stops at its first half step:
+    one back-solve).  When the budget runs out short of the stopping
+    test, or a full-accuracy result fails its check, B is factored (by
+    ``precond`` if given, which then holds that LU) and the solve is
+    direct.
     The true residual of an inexact x is checked against its target.
-    Every other x (direct, or Krylov at full accuracy: rtol 1e-12) is
-    checked by its normwise backward error
+    Every other x is checked by its normwise backward error
     ||Bx - b|| / (||B|| ||x|| + ||b||) in the max norm against
     RESIDUAL_CHECK.  A failed check raises SolveError.
     ``report``, if given, receives the path taken (``direct``,
     ``lu_reuse``, ``lu_precond`` or ``bicgstab``), the Krylov
     iteration count (a spent budget's included), the checked residual,
     the stopping ``target`` (None at full accuracy) and the ``fill``
-    of the LU used (None on the Krylov path).
+    of the LU used (None on the Krylov path).  A BiCGSTAB iteration
+    applies the preconditioner twice, or once if it stops at its half
+    step, so the count is half the applications, rounded up; the
+    budget is charged by it.
     """
     B, b, norm = system
     n = B.shape[0]
@@ -784,28 +808,38 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
     on_krylov = n > 400_000 or (dim >= 3 and n > 60_000)
     if target is not None and target <= 1e-12 * np.linalg.norm(b):
         target = None  # the full-accuracy floor
-    preconditioned = not on_krylov and target is not None and \
-        precond is not None and precond.budget > 0
+
+    def backward_error(x):
+        scale = norm * np.max(np.abs(x)) + np.max(np.abs(b))
+        return float(np.max(np.abs(B @ x - b)) / (scale if scale > 0
+                                                   else 1.0))
+
+    preconditioned = not on_krylov and precond is not None and \
+        precond.budget > 0
     x = None
     if on_krylov or preconditioned:
-        def count(_):
-            nonlocal krylov
-            krylov += 1
+        applied = 0
+
+        def apply(v):
+            nonlocal applied
+            applied += 1
+            return precond.lu.solve(v) if preconditioned else v
 
         path = "lu_precond" if preconditioned else "bicgstab"
-        # the preconditioner is built inline: no reference to its LU
-        # outlives the call, so a factorization below frees it
+        # the preconditioner looks the LU up at each application: no
+        # reference to it outlives the call, so a factorization below
+        # frees it
         x, info = spla.bicgstab(
             B, b, x0=x0, rtol=1e-12, atol=0.0 if target is None else target,
             maxiter=precond.budget if preconditioned else 2000,
-            M=spla.LinearOperator((n, n), matvec=precond.lu.solve,
-                                  dtype=float) if preconditioned else None,
-            callback=count)
+            M=spla.LinearOperator((n, n), matvec=apply, dtype=float))
+        krylov = (applied + 1) // 2
         if preconditioned:
             precond.budget -= krylov
             fill = precond.lu.fill
-            if info != 0:  # budget spent or breakdown: factor B
-                x = None
+            if info != 0 or target is None and \
+                    not backward_error(x) <= RESIDUAL_CHECK:
+                x = None  # budget spent, breakdown or check failed
         elif info != 0:
             raise SolveError(f"BiCGSTAB failed on {n} unknowns (info {info})")
     if x is None:
@@ -823,8 +857,7 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
         x = lu.solve(b)
         fill = lu.fill
     if target is None:
-        scale = norm * np.max(np.abs(x)) + np.max(np.abs(b))
-        res = float(np.max(np.abs(B @ x - b)) / (scale if scale > 0 else 1.0))
+        res = backward_error(x)
         if not res <= RESIDUAL_CHECK:
             raise SolveError(f"{path} solve on {n} unknowns has backward "
                              f"error {res:.3e} > {RESIDUAL_CHECK:g}")
@@ -854,7 +887,7 @@ def _same_policy(v, w):
                                         for d in v)
 
 
-def solve_dirichlet(p, tol=1e-8, start=None):
+def solve_dirichlet(p, tol=1e-8, start=None, response=None):
     """Solve a discrete problem by Howard policy iteration.
 
     Serves masked Dirichlet grids and the periodic cell problem alike.
@@ -876,13 +909,28 @@ def solve_dirichlet(p, tol=1e-8, start=None):
     once the budget runs out.  The loop accepts or stops only after a
     full-accuracy solve, so a policy that repeats after an inexact
     solve is solved again at full accuracy (and a linear problem, with
-    its one policy, is solved at full accuracy at once).
+    its one policy, is solved at full accuracy at once); below the
+    switch that solve, too, runs preconditioned while budget is left,
+    and a policy that repeats after it above tol is factored.
 
-    Returns (GridField, record); the record lists every linear solve's
-    path, Krylov iterations, checked residual, target and LU fill
-    under ``solves``.  Raises SolveError with the residual history if
-    MAX_POLICIES solves do not converge or a policy repeats after a
-    full-accuracy solve above 10*tol.
+    ``response``, a boolean grid array marking ring nodes, asks for
+    the linear response to the value on those nodes: psi solves
+    B_pi psi = b_mask, with pi the accepted policy and b_mask what a
+    unit value on the marked nodes (and 0 on the rest of the ring)
+    contributes to its right-hand side.  It is solved like a policy of
+    the loop at full accuracy, by BiCGSTAB preconditioned with the LU
+    the loop holds (one back-solve when that LU is pi's), and checked
+    like every other solve.  For a problem whose policy does not move, the
+    solution for ring values raised by c on the marked nodes is the
+    solution plus c psi.
+
+    Returns (GridField, record), and psi as a third GridField (1 on
+    the marked nodes, 0 on the rest of the ring) when ``response`` is
+    given.  The record lists every policy's linear solve's path, Krylov
+    iterations, checked residual, target and LU fill under ``solves``,
+    and psi's under ``response``.  Raises SolveError with the residual
+    history if MAX_POLICIES solves do not converge or a policy repeats
+    after a full-accuracy solve above 10*tol.
     """
     grid = p.grid.copy()
     u = grid.values.ravel()
@@ -915,11 +963,15 @@ def solve_dirichlet(p, tol=1e-8, start=None):
                 converged = True
                 break
             if repeat:
-                # policy fixed point at the linear-solver floor
-                break
-        # a policy that repeats after an inexact solve is solved again
-        # at full accuracy before the loop accepts or stops
-        exact = report["target"] is not None and repeat
+                if report["path"] != "lu_precond":
+                    # policy fixed point at the linear-solver floor
+                    break
+                # the floor of BiCGSTAB on an older policy's LU, not
+                # this policy's: factor it
+                precond.budget = 0
+        # a policy that repeats is solved again at full accuracy before
+        # the loop accepts or stops
+        exact = repeat
         weights = next_weights
     record = {
         "iterations": len(history),
@@ -934,7 +986,19 @@ def solve_dirichlet(p, tol=1e-8, start=None):
             f"no convergence in {len(history)} policies "
             f"(residual {history[-1]:.3e})", history)
     grid.values = u.reshape(grid.shape)
-    return grid, record
+    if response is None:
+        return grid, record
+    psi = GridField(grid.origin, grid.h, grid.mask,
+                    np.where(response, 1.0, 0.0))
+    # pi's matrix is assembled again rather than kept through the loop,
+    # where it would be alive while the next policy is chosen
+    B, _, norm = p.assemble(weights)
+    record["response"] = {}
+    psi.values.ravel()[p.int_flat] = _solve_sparse(
+        LinearSystem(B, p.ring_rhs(weights, psi.values), norm), grid.dim,
+        lambda: p.order, linear=p.linear, report=record["response"],
+        precond=precond)
+    return grid, record, psi
 
 
 # the residual and margin slack of comparison_check

@@ -206,11 +206,12 @@ def linear_operator(exprs, lam, Lam, dim=2, period=()):
 
 @dataclass
 class SourceAndBoundaryData:
-    """Source f(x, y) and boundary datum g(x, y), periodic in y.
+    """Source f(x) and boundary datum g(x, y), periodic in y.
 
-    ``g`` and ``f`` take (x_points, y_points) of shape (..., n): x is
-    the slow variable and y the fast one.  ``period`` is the cell's
-    side per axis; empty means the unit cell of the points' dimension.
+    ``g`` takes (x_points, y_points) of shape (..., n): x is the slow
+    variable and y the fast one.  ``f`` takes the points x alone.
+    ``period`` is the cell's side per axis; empty means the unit cell of
+    the points' dimension.
     """
     g: Callable
     f: Optional[Callable] = None
@@ -218,19 +219,20 @@ class SourceAndBoundaryData:
 
     @staticmethod
     def from_exprs(g_expr, f_expr=None, dim=2, period=()):
-        """Data from expressions in x1..xn (slow) and y1..yn (fast)."""
+        """Data from expressions: ``g`` in x1..xn (slow) and y1..yn
+        (fast), ``f`` in x1..xn only (a y in it is an ExpressionError)."""
         f = None if f_expr is None else \
-            compile_field(f_expr, dim, prefixes=("x", "y"))
+            compile_field(f_expr, dim, prefixes=("x",))
         period = tuple(period) if period else (1.0,) * dim
         return SourceAndBoundaryData(
             g=compile_field(g_expr, dim, prefixes=("x", "y")), f=f,
             period=period)
 
     def source(self, x):
-        """f at the points x, with the fast variable read at y = x."""
+        """f at the points x."""
         if self.f is None:
             return np.zeros(np.asarray(x, float).shape[:-1])
-        return np.asarray(self.f(x, x), dtype=float)
+        return np.asarray(self.f(x), dtype=float)
 
     def g_sup(self, x0=None):
         """sup |g(x0, y)| over one period cell, sampled on 96 points per

@@ -242,3 +242,16 @@ def test_gbar_alpha_beyond_trace_range_exits_numerical(tmp_path, monkeypatch,
     assert payload["error"] == "SolveError"
     assert "exceeds sup|g| = 0.25" in payload["message"]
     assert not (out / "manifest.json").exists()
+
+
+def test_fast_variable_in_source_is_config_error(tmp_path):
+    # f is a function of x alone: a y in it is refused at config time,
+    # and the failed run writes no manifest
+    code, out = _run(tmp_path, "solve", {
+        "domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 0.9},
+        "operator": {"kind": "laplacian"},
+        "g": "cos(2*pi*y1)", "f": "cos(2*pi*y1)", "period": [1.0, 1.0],
+        "epsilon": 0.125, "h": 1 / 64,
+    })
+    assert code == EXIT_CONFIG
+    assert not (out / "manifest.json").exists()

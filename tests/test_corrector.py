@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -181,29 +182,178 @@ def test_pucci_strip_retains_no_factor(monkeypatch):
     assert calls["splu"] > 2
 
 
-def test_second_pass_starts_from_first(monkeypatch):
-    # only the top value moves between the passes, so the second pass
-    # starts from the first's field and needs fewer Howard iterations
+COS_DATA = SourceAndBoundaryData.from_exprs(
+    "cos(2*pi*y1)*cos(2*pi*y2)", "0", dim=2, period=(1.0, 1.0))
+
+
+def _two_passes(monkeypatch, T, L, h):
+    """Solve a Pucci+ strip's corrector and return, per pass, the
+    keywords of its solve, its ring values, its output, and the field
+    and Howard count of a cold solve of the same problem."""
     runs = []
     solve = corrector.solve_dirichlet
 
     def recorded(prob, **kwargs):
-        grid, rec = solve(prob, **kwargs)
+        out = solve(prob, **kwargs)
         cold, cold_rec = solve(prob, tol=kwargs["tol"])
-        runs.append((kwargs.get("start"), grid, rec["iterations"],
-                     cold, cold_rec["iterations"]))
-        return grid, rec
+        runs.append((kwargs, prob.grid.values.copy(), out, cold,
+                     cold_rec["iterations"]))
+        return out
 
     monkeypatch.setattr(corrector, "solve_dirichlet", recorded)
-    data = SourceAndBoundaryData.from_exprs("cos(2*pi*y1)*cos(2*pi*y2)", "0",
-                                            dim=2, period=(1.0, 1.0))
-    p = build_strip(np.zeros(2), NU_IRR, 1 / 8, 4.0, 12.0, 1 / 16, data,
+    p = build_strip(np.zeros(2), NU_IRR, 1 / 8, T, L, h, COS_DATA,
                     pucci_plus(1.0, 2.0))
     solve_corrector(p)
-    (start1, grid1, _, _, _), (start2, grid2, warm, cold, cold_its) = runs
-    assert start1 is None and start2 is grid1
-    assert warm < cold_its
+    return solve, runs
+
+
+def test_second_pass_starts_from_first(monkeypatch):
+    # only the top value moves between the passes: the second pass of a
+    # nonlinear strip starts from the first's field plus the first's
+    # linear response psi times the change of the top value, and needs
+    # fewer Howard iterations than a cold start
+    _, runs = _two_passes(monkeypatch, 4.0, 12.0, 1 / 16)
+    (kw1, ring1, (grid1, _, psi), _, _), \
+        (kw2, ring2, (grid2, rec2), cold, cold_its) = runs
+    top = kw1["response"]
+    assert "start" not in kw1 and "response" not in kw2
+    c0, c1 = ring1[top][0], ring2[top][0]
+    assert np.all(ring1[top] == c0) and np.all(ring2[top] == c1) and c1 != c0
+    assert np.array_equal(kw2["start"].values,
+                          grid1.values + (c1 - c0) * psi.values)
+    assert rec2["iterations"] < cold_its
     assert np.max(np.abs(grid2.values - cold.values)) <= 1e-8
+
+
+def test_response_start_saves_policies(monkeypatch):
+    # on a small Pucci strip the second pass takes fewer Howard
+    # policies from the response start than from the first field
+    solve, runs = _two_passes(monkeypatch, 2.0, 8.0, 1 / 8)
+    (_, _, (grid1, _, _), _, _), (kw2, ring2, (grid2, rec2), _, _) = runs
+    prob, _ = corrector._strip_problem(build_strip(
+        np.zeros(2), NU_IRR, 1 / 8, 2.0, 8.0, 1 / 8, COS_DATA,
+        pucci_plus(1.0, 2.0)))
+    prob.grid.values = ring2
+    plain, plain_rec = solve(prob, tol=kw2["tol"], start=grid1)
+    assert rec2["iterations"] < plain_rec["iterations"]
+    assert np.max(np.abs(grid2.values - plain.values)) <= 1e-8
+
+
+@pytest.mark.parametrize("T, L, h, op", [
+    (2.0, 8.0, 1 / 8, laplacian()), (2.0, 8.0, 1 / 8, pucci_plus(1.0, 2.0)),
+    (4.0, 12.0, 1 / 16, pucci_plus(1.0, 2.0))])
+def test_response_is_the_derivative_in_the_top_value(T, L, h, op):
+    # psi is 1 on the top face and 0 on the rest of the ring, lies in
+    # [0, 1] inside (discrete maximum principle), and raising the top
+    # value by delta moves the solution by delta psi: exactly for the
+    # Laplacian, and for Pucci+ as long as no policy moves
+    p = build_strip(np.zeros(2), NU_IRR, 1 / 8, T, L, h, COS_DATA, op)
+    prob, top = corrector._strip_problem(p)
+    prob.grid.values[top] = 0.1
+    u0, rec, psi = fdsolver.solve_dirichlet(prob, response=top)
+    assert rec["response"]["path"] in ("direct", "lu_precond")
+    assert rec["response"]["target"] is None
+    assert rec["response"]["residual"] <= 1e-10
+    ring = prob.grid.mask == fdsolver.BOUNDARY
+    assert np.array_equal(psi.values[ring], np.where(top[ring], 1.0, 0.0))
+    inside = psi.values[prob.grid.mask == fdsolver.INTERIOR]
+    assert np.all(inside >= 0.0) and np.all(inside <= 1.0)
+    delta = 0.5 if prob.linear else 1e-3
+    prob.grid.values[top] += delta
+    u1, _ = fdsolver.solve_dirichlet(prob)
+    assert np.max(np.abs(u1.values - u0.values - delta * psi.values)) <= 1e-10
+
+
+def test_perturbed_response_solve_is_caught(monkeypatch):
+    # the response solve is checked like every other.  On the small
+    # strip the last policy solve factored the accepted policy, so the
+    # response is one back-solve with its LU (BiCGSTAB stops at its
+    # first half step); perturbed LU solves fail the backward-error
+    # check and raise.  On the larger one it is BiCGSTAB on an older
+    # policy's LU, and a perturbed result fails its check, so the
+    # policy is factored instead
+    rng = np.random.default_rng(0)
+    responding = []
+    ring_rhs = fdsolver.DiscreteProblem.ring_rhs
+
+    def flagged(self, *args):
+        responding.append(True)
+        return ring_rhs(self, *args)
+
+    def noisy(x):
+        return x + 1e-3 * rng.standard_normal(x.size) if responding else x
+
+    lu_solve = fdsolver._Factor.solve
+    bicgstab = fdsolver.spla.bicgstab
+
+    def perturbed(*args, **kwargs):
+        x, info = bicgstab(*args, **kwargs)
+        return noisy(x), info
+
+    def strip(T, L, h):
+        prob, top = corrector._strip_problem(build_strip(
+            np.zeros(2), NU_IRR, 1 / 8, T, L, h, COS_DATA,
+            pucci_plus(1.0, 2.0)))
+        prob.grid.values[top] = 0.1
+        return prob, top
+
+    small, small_top = strip(2.0, 8.0, 1 / 8)
+    large, large_top = strip(4.0, 12.0, 1 / 16)
+    _, small_rec, _ = fdsolver.solve_dirichlet(small, response=small_top)
+    _, large_rec, clean = fdsolver.solve_dirichlet(large, response=large_top)
+    assert small_rec["solves"][-1]["path"] == "direct"
+    assert small_rec["response"]["path"] == "lu_precond"
+    assert small_rec["response"]["krylov_iterations"] == 1
+    assert large_rec["solves"][-1]["path"] == "lu_precond"
+    assert large_rec["response"]["path"] == "lu_precond"
+    assert large_rec["response"]["krylov_iterations"] > 1
+    monkeypatch.setattr(fdsolver.DiscreteProblem, "ring_rhs", flagged)
+    with monkeypatch.context() as m:
+        m.setattr(fdsolver._Factor, "solve",
+                  lambda self, b: noisy(lu_solve(self, b)))
+        with pytest.raises(fdsolver.SolveError, match="backward error"):
+            fdsolver.solve_dirichlet(small, response=small_top)
+    responding.clear()
+    monkeypatch.setattr(fdsolver.spla, "bicgstab", perturbed)
+    _, rec, psi = fdsolver.solve_dirichlet(large, response=large_top)
+    assert responding and rec["response"]["path"] == "direct"
+    assert rec["response"]["krylov_iterations"] > 0
+    assert np.max(np.abs(psi.values - clean.values)) <= 1e-10
+
+
+def test_strip_passes_hold_one_lu_at_a_time(monkeypatch):
+    # the first pass's LU serves its response solve and is freed before
+    # the second pass factors: no two LUs are alive at any
+    # factorization, also when a small budget makes the response solve
+    # factor, and none outlives the strip
+    live = []
+    factor = fdsolver._Factor
+    records = []
+    solve = corrector.solve_dirichlet
+
+    class Watched(factor):
+        def __init__(self, B, order):
+            assert not [r for r in live if r() is not None]
+            super().__init__(B, order)
+            live.append(weakref.ref(self))
+
+    def recorded(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        records.append(out[1])
+        return out
+
+    monkeypatch.setattr(fdsolver, "_Factor", Watched)
+    monkeypatch.setattr(fdsolver, "PRECOND_BUDGET", 3)
+    monkeypatch.setattr(corrector, "solve_dirichlet", recorded)
+    p = build_strip(np.zeros(2), NU_IRR, 1 / 8, 4.0, 12.0, 1 / 16, COS_DATA,
+                    pucci_plus(1.0, 2.0))
+    sol = solve_corrector(p)
+    first, second = records
+    assert first["response"]["path"] == "direct"
+    assert len(live) == sum(s["path"] == "direct" for s in first["solves"]
+                            + second["solves"] + [first["response"]])
+    del sol
+    assert not [r for r in live if r() is not None]
 
 
 def test_strip_in_3d():

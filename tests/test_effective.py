@@ -46,7 +46,7 @@ def test_affine_slow_data_exact():
     # g(x, y) = x1 has no fast dependence; harmonic extension is x1
     data = SourceAndBoundaryData(
         g=lambda x, y: np.atleast_2d(x)[:, 0],
-        f=lambda x, y: np.zeros(np.atleast_2d(x).shape[0]),
+        f=lambda x: np.zeros(np.atleast_2d(x).shape[0]),
         period=(1.0, 1.0))
     p = OscillatingProblem(DISK, 1 / 16, laplacian(), data)
     u, _ = solve_oscillating(p, h=1 / 128)

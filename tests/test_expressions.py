@@ -55,3 +55,13 @@ def test_data_reads_x_slow_and_y_fast():
     x, y = np.array([0.3, 0.0]), np.array([7.0, 0.0])
     assert SourceAndBoundaryData.from_exprs("x1").g(x, y) == 0.3
     assert SourceAndBoundaryData.from_exprs("y1").g(x, y) == 7.0
+
+
+def test_source_reads_x_only():
+    # f has no fast variable: it is compiled over x1..xn alone and
+    # evaluated at the points x; a y in it is refused
+    x = np.array([[0.3, 0.5], [1.0, -2.0]])
+    data = SourceAndBoundaryData.from_exprs("0", "x1 + 10*x2")
+    np.testing.assert_array_equal(data.source(x), [5.3, -19.0])
+    with pytest.raises(ExpressionError, match="'y1'"):
+        SourceAndBoundaryData.from_exprs("0", "x1 + y1")

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homogbc import fdsolver
@@ -417,6 +418,41 @@ def test_direct_solve_under_dissection_matches_dense(dim, torus, seed):
                                atol=1e-10 * max(1.0, np.max(np.abs(dense))))
 
 
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from([2, 3]), plus=st.booleans(),
+       ratio=st.floats(1.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+# here the policy repeats after a preconditioned full-accuracy solve at
+# residual 1.1e-9, above tol: the loop must factor it, not stop there
+@example(dim=3, plus=False, ratio=2.0, seed=0)
+def test_comparison_principle_on_random_masks(dim, plus, ratio, seed):
+    # on a random mask, a solved u is a solution; v = u - phi, with
+    # phi >= 0 a concave quadratic (every second difference of phi is
+    # negative), is a subsolution below u by monotonicity of the
+    # scheme; and w, solved with the ring lowered by a nonnegative
+    # field, stays below u inside: comparison_check must say "holds"
+    rng = np.random.default_rng(seed)
+    op = (pucci_plus if plus else pucci_minus)(1.0, ratio, dim)
+    shape = tuple(rng.integers(3, 9 if dim == 3 else 17, size=dim))
+    interior = rng.random(shape) < rng.uniform(0.3, 1.0)
+    interior &= np.pad(np.ones([s - 2 for s in shape], bool), 1)
+    interior[(1,) * dim] = True
+    p = _masked_problem(op, interior, rng)
+    u, _ = solve_dirichlet(p, tol=1e-10)
+    x = u.coords()
+    quad = -rng.uniform(0.0, 2.0) * np.sum(
+        (x - rng.uniform(0.0, 2.0, dim)) ** 2, axis=-1) + x @ rng.uniform(
+        -1.0, 1.0, dim)
+    v = u.copy()
+    v.values = u.values - (quad - quad.min() + rng.uniform(0.0, 0.5))
+    assert comparison_check(p, u, v)["holds"]
+    lowered = p.grid.copy()
+    ring = lowered.mask == fdsolver.BOUNDARY
+    lowered.values[ring] -= rng.uniform(0.0, 1.0, int(ring.sum()))
+    w, _ = solve_dirichlet(dataclasses.replace(p, grid=lowered), tol=1e-10)
+    report = comparison_check(p, u, w)
+    assert report["holds"], report
+
+
 @settings(max_examples=25, deadline=None)
 @given(dim=st.sampled_from([2, 3]), lam=st.floats(0.5, 1.0),
        ratio=st.floats(1.0, 3.0),
@@ -599,21 +635,24 @@ def _factorizations(rec):
 
 def test_preconditioned_howard_matches_full_accuracy(monkeypatch, bump2d):
     # below the Krylov switch a later policy is solved by BiCGSTAB
-    # preconditioned with the last LU and stops at ETA times the
-    # residual of its start; the accepted field is as good as that of
-    # a Howard solve that factors every policy
+    # preconditioned with the last LU, to ETA times the residual of its
+    # start or, where the loop needs it, to full accuracy; the accepted
+    # field is as good as that of a Howard solve that factors every
+    # policy
     p = bump2d
     tol = 1e-8
     inexact, rec = solve_dirichlet(p, tol=tol)
     monkeypatch.setattr(fdsolver, "ETA", 0.0)
+    monkeypatch.setattr(fdsolver, "PRECOND_BUDGET", 0)
     exact, exact_rec = solve_dirichlet(p, tol=tol)
     assert rec["converged"] and rec["residual_history"][-1] <= tol
     assert all(s["path"] == "direct" and s["target"] is None
                for s in exact_rec["solves"])
     assert rec["solves"][0]["path"] == "direct"
-    assert any(s["path"] == "lu_precond" for s in rec["solves"])
-    assert all((s["path"] == "lu_precond") == (s["target"] is not None)
-               for s in rec["solves"])
+    assert {s["path"] for s in rec["solves"]} == {"direct", "lu_precond"}
+    # preconditioned solves both inexact and at full accuracy
+    assert {s["target"] is None for s in rec["solves"]
+            if s["path"] == "lu_precond"} == {False, True}
     assert _within_targets(rec) and _within_targets(exact_rec)
     assert rec["solves"][-1]["target"] is None
     assert _factorizations(rec) < rec["iterations"]
@@ -621,6 +660,36 @@ def test_preconditioned_howard_matches_full_accuracy(monkeypatch, bump2d):
     # C = diam^2 / (2 lam), the comparison constant
     C = 1.8 ** 2 / 2.0
     assert np.max(np.abs(inexact.values - exact.values)) <= 2 * C * tol
+
+
+def test_krylov_iterations_count_half_steps(monkeypatch, bump2d):
+    # a BiCGSTAB iteration applies the preconditioner twice, or once
+    # when it stops at its half step: a preconditioned solve reports
+    # half its LU applications, rounded up, so none that applied the
+    # LU reports 0 iterations
+    applied = [0]
+    lu_solve = fdsolver._Factor.solve
+
+    def counted(self, b):
+        applied[0] += 1
+        return lu_solve(self, b)
+
+    solve_sparse = fdsolver._solve_sparse
+    calls = []
+
+    def recorded(*args, report, **kwargs):
+        before = applied[0]
+        x = solve_sparse(*args, report=report, **kwargs)
+        calls.append((report, applied[0] - before))
+        return x
+
+    monkeypatch.setattr(fdsolver._Factor, "solve", counted)
+    monkeypatch.setattr(fdsolver, "_solve_sparse", recorded)
+    solve_dirichlet(bump2d)
+    precond = [(s["krylov_iterations"], n) for s, n in calls
+               if s["path"] == "lu_precond"]
+    assert precond and any(n % 2 for _, n in precond)
+    assert all(k == (n + 1) // 2 >= 1 for k, n in precond)
 
 
 def test_preconditioned_solve_starts_from_the_iterate(monkeypatch, bump2d):
