@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .geometry import (DomainSpec, classify_direction, equidist_ratio,
-                       iddc_audit, NoNearIntegerPoint)
+                       iddc_audit)
 from .operators import (SourceAndBoundaryData, laplacian, linear_operator,
                         pucci_minus, pucci_plus, validate_operator)
 from .fdsolver import CertificateError, SolveError
@@ -177,8 +177,7 @@ def _cmd_gbar(cfg, out):
 
 def _cmd_equidist(cfg, out):
     nu = classify_direction(
-        np.asarray(cfg["nu"], float) / np.linalg.norm(cfg["nu"]),
-        max_denominator=cfg.get("max_denominator", 10 ** 4))
+        np.asarray(cfg["nu"], float) / np.linalg.norm(cfg["nu"]))
     rows = []
     for R in cfg["R_list"]:
         res = equidist_ratio(nu, cfg["delta"], cfg.get("t0", 0.0), R)
@@ -192,8 +191,7 @@ def _cmd_equidist(cfg, out):
 
 def _cmd_audit(cfg, out):
     dom = _domain_from(cfg["domain"])
-    report = iddc_audit(dom, samples=cfg.get("samples", 360),
-                        max_denominator=cfg.get("max_denominator", 100))
+    report = iddc_audit(dom)
     _write_json(os.path.join(out, "audit.json"), report)
     return (EXIT_OK if report["iddc_plausible"] else EXIT_VERDICT_FALSE,
             ["audit.json"])
@@ -246,11 +244,10 @@ def _cmd_homogenize(cfg, out):
         cfg["delta"], T=T, L=strip.get("L", 6.0 * T),
         h_strip=strip.get("h", 1 / 16), offset=cfg.get("offset", 0.5),
         tol=cfg.get("tol", 1e-8), seed=cfg.get("seed", 0))
-    env = eff.build_envelopes(p, env,
-                              mollifier_radius=cfg.get("mollifier_radius"))
-    verdict, u_plus, u_minus, fields = eff.effective_sandwich(
+    env = eff.build_envelopes(p, env)
+    verdict, _, _, _ = eff.effective_sandwich(
         p, env, eps_list, h_pm=cfg.get("h_pm", min(eps_list) / 8.0),
-        K_scale=cfg.get("K_scale", 2 / 3), tol=cfg.get("tol", 1e-6))
+        tol=cfg.get("tol", 1e-6))
     _write_csv(os.path.join(out, "convergence.csv"),
                ["epsilon", "h", "above_plus", "below_minus", "sup_gap",
                 "ok"],
@@ -271,19 +268,13 @@ def _cmd_homogenize(cfg, out):
         "factor_reuse": env.factor_reuse,
         "notes": env.notes,
     })
-    if cfg.get("dump_grids"):
-        u_plus.dump(os.path.join(out, "u_plus.grid"))
-        u_minus.dump(os.path.join(out, "u_minus.grid"))
-        for eps, u in fields.items():
-            u.dump(os.path.join(out, f"u_eps_{eps:.6f}.grid"))
     return (EXIT_OK if verdict.converged else EXIT_VERDICT_FALSE,
             ["convergence.csv", "envelope.csv", "verdict.json"])
 
 
 def _cmd_validate(cfg, out):
     op = _operator_from(cfg["operator"])
-    report = validate_operator(op, samples=cfg.get("samples", 200),
-                               seed=cfg.get("seed", 0))
+    report = validate_operator(op, seed=cfg.get("seed", 0))
     _write_json(os.path.join(out, "validate.json"), report)
     return EXIT_OK if report["ok"] else EXIT_VERDICT_FALSE, ["validate.json"]
 
@@ -335,8 +326,8 @@ def main(argv=None):
         print(f"config error: missing or invalid field: {field}",
               file=sys.stderr)
         return EXIT_CONFIG
-    except (SolveError, CertificateError, NoNearIntegerPoint,
-            StabilityError, DegenerateBarrier, eff.EnvelopeError) as e:
+    except (SolveError, CertificateError, StabilityError,
+            DegenerateBarrier, eff.EnvelopeError) as e:
         payload = {"error": type(e).__name__, "message": str(e)}
         hist = getattr(e, "history", None)
         if hist is not None:

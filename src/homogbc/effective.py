@@ -28,7 +28,7 @@ __all__ = [
     "OscillatingProblem", "BoundaryEnvelope", "SandwichVerdict",
     "solve_oscillating", "boundary_layer_compare",
     "sample_gbar_on_boundary", "build_envelopes", "effective_sandwich",
-    "EnvelopeError",
+    "EnvelopeError", "K_SCALE",
 ]
 
 
@@ -284,8 +284,7 @@ def sample_gbar_on_boundary(p, n_points, eps_list, delta, T=4.0, L=None,
                                      "reason": "unclassifiable normal"})
                 continue
             if d.kind == RATIONAL:
-                member, _ = in_D_delta(d, delta)
-                if not member:
+                if not in_D_delta(d, delta):
                     env.excluded.append({"z": [float(c) for c in x],
                                          "r": float(excluded_radius),
                                          "reason": f"m={d.m} not in D_delta"})
@@ -337,13 +336,19 @@ def _mollify_periodic(s, vals, total, radius):
 # of its delta-continuity check
 ENVELOPE_TOL = 1e-8
 
+# The compact set K is the concentric K_SCALE copy of the domain: the
+# bump's sup_K v is taken and the sandwich is checked there
+K_SCALE = 2 / 3
 
-def build_envelopes(p, env, mollifier_radius=None):
+
+def build_envelopes(p, env):
     """Complete an envelope: delta-continuity check, mollified h+/-.
 
-    h+/- are the mollified samples shifted by +/-(delta + slack) and
-    lifted by +/- 2||g|| times the solved extremal bump v that equals 1
-    on the excluded boundary balls.  Both are capped at 3||g||.
+    The samples are mollified along arclength with a hat kernel of
+    radius twice the largest gap between neighbouring samples.  h+/-
+    are the mollified samples shifted by +/-(delta + slack) and lifted
+    by +/- 2||g|| times the solved extremal bump v that equals 1 on the
+    excluded boundary balls.  Both are capped at 3||g||.
     """
     if not env.samples:
         raise EnvelopeError("no boundary samples to build envelopes from")
@@ -353,9 +358,8 @@ def build_envelopes(p, env, mollifier_radius=None):
     vals = np.array([sm["gbar"] for sm in samples])
     bars = np.array([sm["err"] for sm in samples])
     total = env.total_length
-    if mollifier_radius is None:
-        gaps = np.diff(np.concatenate([s, [s[0] + total]]))
-        mollifier_radius = 2.0 * float(np.max(gaps))
+    gaps = np.diff(np.concatenate([s, [s[0] + total]]))
+    mollifier_radius = 2.0 * float(np.max(gaps))
     # delta-continuity of the samples outside the excluded balls
     for i in range(len(s)):
         if _in_excluded(samples[i]["x"], env.excluded):
@@ -402,7 +406,7 @@ def build_envelopes(p, env, mollifier_radius=None):
         v_field, bump_rec = solve_dirichlet(prob, tol=ENVELOPE_TOL)
         bump_iterations = bump_rec["iterations"]
         VX = v_field.coords()[v_field.mask == INTERIOR]
-        on_K = p.domain.contains_scaled(VX, 2.0 / 3.0)
+        on_K = p.domain.contains_scaled(VX, K_SCALE)
         if on_K.any():
             v_sup_K = float(np.max(
                 v_field.values[v_field.mask == INTERIOR][on_K]))
@@ -460,36 +464,32 @@ class SandwichVerdict:
         }
 
 
-def effective_sandwich(p, env, eps_list, h_pm, K_scale=2 / 3, fbar_op=None,
-                       tol=1e-6):
+def effective_sandwich(p, env, eps_list, h_pm, tol=1e-6):
     """Solve the effective problems with envelope data and check the
-    sandwich u- <= u_eps <= u+ on the concentric K_scale copy of D; each
-    u_eps is solved on a grid of spacing eps/8.
+    sandwich u- <= u_eps <= u+ on the compact set K (the concentric
+    K_SCALE copy of D); each u_eps is solved on a grid of spacing eps/8.
 
-    fbar_op defaults to the problem operator when it has no fast
-    variable (including linear constant coefficients); otherwise it
-    must be supplied.  u+ and u- are solved in one ``factor_reuse``
-    scope, so a linear fbar_op is factored once for both.
+    The effective operator is the problem operator, which must not
+    depend on the fast variable.  u+ and u- are solved in one
+    ``factor_reuse`` scope, so a linear operator is factored once for
+    both.
     """
     if not env.complete:
         raise ValueError("envelope is not completed; run build_envelopes")
-    if fbar_op is None:
-        if p.operator.y_dependent:
-            raise ValueError("operator depends on the fast variable; "
-                             "supply fbar_op (e.g. from "
-                             "effective_operator_estimate)")
-        fbar_op = p.operator
+    if p.operator.y_dependent:
+        raise ValueError("operator depends on the fast variable; the "
+                         "sandwich has no effective operator for it")
     notes = []
     n = p.domain.dim
     if (n - 1) * p.operator.lam <= p.operator.Lam:
         notes.append("unverified stability hypothesis: (n-1)*lam <= Lam")
     # u+ and u- differ only in their boundary data: under a linear
-    # fbar_op they share one factor
+    # operator they share one factor
     with factor_reuse():
-        prob_p = discretize(fbar_op, p.domain, h_pm, boundary=env.h_plus,
+        prob_p = discretize(p.operator, p.domain, h_pm, boundary=env.h_plus,
                             source=p.data.source)
         u_plus, _ = solve_dirichlet(prob_p, tol=tol)
-        prob_m = discretize(fbar_op, p.domain, h_pm, boundary=env.h_minus,
+        prob_m = discretize(p.operator, p.domain, h_pm, boundary=env.h_minus,
                             source=p.data.source)
         u_minus, _ = solve_dirichlet(prob_m, tol=tol)
     per_eps = []
@@ -502,7 +502,7 @@ def effective_sandwich(p, env, eps_list, h_pm, K_scale=2 / 3, fbar_op=None,
         u, _ = solve_oscillating(q, h, tol=tol)
         fields[eps] = u
         X = u.coords()[u.mask == INTERIOR]
-        on_K = p.domain.contains_scaled(X, K_scale)
+        on_K = p.domain.contains_scaled(X, K_SCALE)
         XK = X[on_K]
         uK = u.values[u.mask == INTERIOR][on_K]
         up = u_plus.interpolate(XK)
@@ -533,7 +533,7 @@ def effective_sandwich(p, env, eps_list, h_pm, K_scale=2 / 3, fbar_op=None,
     budget = (2.0 * env.delta + 2.0 * env.delta * 2.0 * env.g_sup
               + 2.0 * c.get("slack", 0.0) + 10 * tol)
     converged = all_ok and gap_sup <= budget
-    verdict = SandwichVerdict(K_scale=float(K_scale), per_eps=per_eps,
+    verdict = SandwichVerdict(K_scale=float(K_SCALE), per_eps=per_eps,
                               envelope_gap=gap_sup, gap_budget=float(budget),
                               converged=bool(converged), notes=notes)
     return verdict, u_plus, u_minus, fields

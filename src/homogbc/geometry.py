@@ -1,33 +1,25 @@
-"""Directions, hyperplane lattices, equidistribution counts, and domains.
+"""Directions, equidistribution counts, D_delta membership, and domains.
 
 A unit vector is "rational" when it is proportional to an integer vector
 (detected by continued fractions of component ratios at finite precision),
 "irrational" otherwise.  Irrational normals make the trace of periodic
 boundary data on the hyperplane equidistribute modulo the period lattice,
-which is what the near-integer-point search and the equidistribution
-ratio quantify.
+which is what the equidistribution ratio quantifies.
 """
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional
 
 import numpy as np
 
 __all__ = [
-    "Direction", "HyperplaneLattice", "DomainSpec",
-    "NoNearIntegerPoint", "classify_direction", "in_D_delta",
-    "equidist_ratio", "near_integer_point", "iddc_audit",
+    "Direction", "DomainSpec", "classify_direction", "in_D_delta",
+    "equidist_ratio", "iddc_audit",
 ]
 
 RATIONAL = "rational"
 IRRATIONAL = "irrational"
-
-
-class NoNearIntegerPoint(RuntimeError):
-    """The near-integer-point construction genuinely fails (rational
-    direction outside D_delta) or the scan cap was exhausted."""
 
 
 @dataclass(frozen=True)
@@ -58,27 +50,6 @@ class Direction:
         rec = {"nu": [float(c) for c in self.nu], "class": self.kind}
         rec["m"] = None if self.m is None else [int(c) for c in self.m]
         return rec
-
-
-@dataclass(frozen=True)
-class HyperplaneLattice:
-    """A near-integer point on the hyperplane {y . nu = 0}.
-
-    ``hat_point`` lies on the hyperplane; ``integer_anchor`` is the
-    lattice point directly below it along the graph axis, at fractional
-    gap ``t``.
-    """
-    direction: Direction
-    hat_point: np.ndarray
-    integer_anchor: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        if abs(float(self.hat_point @ self.direction.nu)) > 1e-10:
-            raise ValueError("hat_point is off the hyperplane")
-        gap = np.linalg.norm(self.hat_point - self.integer_anchor)
-        if abs(gap - self.t) > 1e-10:
-            raise ValueError("|hat_point - integer_anchor| != t")
 
 
 # continued-fraction remainder cutoff and final alignment tolerance of
@@ -164,47 +135,23 @@ def classify_direction(v, max_denominator=10 ** 4):
 
 
 def in_D_delta(d, delta):
-    """Membership of a rational direction in D_delta.
+    """Membership of a direction in D_delta.
 
-    Returns (member, vacuous): rational directions are members iff
-    max |m_i| > 1/delta; irrational directions return (True, True)
-    since the condition is vacuous for them.
+    Rational directions are members iff max |m_i| > 1/delta; irrational
+    directions always are, since the condition is vacuous for them.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if not d.is_rational:
-        return True, True
-    return bool(np.max(np.abs(d.m)) > 1.0 / delta), False
-
-
-def _graph_slope(d):
-    """Pivot axis and slope coefficients of the hyperplane graph.
-
-    The hyperplane {y . nu = 0} is written y_p = h(y') with
-    h(y') = -sum_i nu_i y'_i / nu_p over the non-pivot coordinates.
-    """
-    nu = d.nu
-    pivot = int(np.argmax(np.abs(nu)))
-    rest = [i for i in range(nu.size) if i != pivot]
-    slope = -nu[rest] / nu[pivot]
-    return pivot, rest, slope
-
-
-def _lattice_block(center, R):
-    """Integer points of the cube of side R centered at R*center, per axis."""
-    half = R / 2.0
-    axes = []
-    for c in np.atleast_1d(center):
-        lo = math.ceil(c * R - half)
-        hi = math.floor(c * R + half)
-        axes.append(np.arange(lo, hi + 1, dtype=np.int64))
-    return axes
+    return not d.is_rational or bool(np.max(np.abs(d.m)) > 1.0 / delta)
 
 
 def equidist_ratio(d, delta, t0, R):
     """Count lattice points whose graph height falls in a frac window.
 
-    Over m in the side-R cube of Z^{n-1} centered at 0, counts
+    The hyperplane {y . nu = 0} is the graph y_p = h(y') with
+    h(y') = -sum_i nu_i y'_i / nu_p over the non-pivot coordinates, for
+    the pivot p = argmax |nu_i| (so |nu_p| >= 1/sqrt(n)).  Over m in the
+    side-R cube of Z^{n-1} centered at 0, counts
     A = #{m : frac(h(m)) in [t0, t0+delta) mod 1} against the total N.
 
     Returns
@@ -213,11 +160,11 @@ def equidist_ratio(d, delta, t0, R):
     """
     if R < 1:
         raise ValueError("R must be >= 1")
-    pivot, rest, slope = _graph_slope(d)
-    if abs(d.nu[pivot]) < 1e-12:
-        raise ValueError("direction has no usable graph axis")
-    axes = _lattice_block(np.zeros(len(rest)), float(R))
-    grids = np.meshgrid(*axes, indexing="ij")
+    pivot = int(np.argmax(np.abs(d.nu)))
+    slope = -np.delete(d.nu, pivot) / d.nu[pivot]
+    axis = np.arange(math.ceil(-R / 2.0), math.floor(R / 2.0) + 1,
+                     dtype=np.int64)
+    grids = np.meshgrid(*[axis] * slope.size, indexing="ij")
     h = np.zeros(grids[0].shape)
     for g, s in zip(grids, slope):
         h += s * g
@@ -227,60 +174,6 @@ def equidist_ratio(d, delta, t0, R):
         fr = np.mod(h - t0, 1.0)
         A = int(np.count_nonzero(fr < delta))
     return {"A": int(A), "N": int(h.size), "ratio": A / h.size}
-
-
-# near_integer_point scans cubes of side _R_START, doubling up to _R_CAP
-_R_START = 4.0
-_R_CAP = 2 ** 16
-
-
-def near_integer_point(d, kprime, delta):
-    """Find a hyperplane point within fractional gap delta of the lattice.
-
-    Scans integer points m of the cube Q'_R(k') over the graph axis,
-    growing R geometrically from _R_START until some frac(h(m)) <= delta.
-
-    Returns
-    -------
-    (HyperplaneLattice, R_used)
-
-    Raises
-    ------
-    NoNearIntegerPoint
-        If d is rational but not in D_delta (the construction genuinely
-        fails there), or the scan cap is exhausted.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    member, _vacuous = in_D_delta(d, delta)
-    if d.is_rational and not member:
-        raise NoNearIntegerPoint(
-            f"rational direction m={d.m.tolist()} is not in D_delta "
-            f"(max |m_i| <= 1/delta = {1.0 / delta:g})")
-    pivot, rest, slope = _graph_slope(d)
-    kprime = np.asarray(kprime, dtype=float).reshape(len(rest))
-    R = _R_START
-    while R <= _R_CAP:
-        axes = _lattice_block(kprime, R)
-        best = None
-        for m in product(*[ax.tolist() for ax in axes]):
-            h = float(np.dot(slope, m))
-            t = h - math.floor(h)
-            if t <= delta and (best is None or t < best[0] - 1e-15):
-                best = (t, m, h)
-        if best is not None:
-            t, m, h = best
-            hat = np.zeros(d.dim)
-            anchor = np.zeros(d.dim)
-            hat[rest] = m
-            hat[pivot] = h
-            anchor[rest] = m
-            anchor[pivot] = math.floor(h)
-            lattice = HyperplaneLattice(
-                direction=d, hat_point=hat, integer_anchor=anchor, t=t)
-            return lattice, R
-        R *= 2.0
-    raise NoNearIntegerPoint(f"no near-integer point up to R = {_R_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +225,7 @@ class DomainSpec:
     # -- geometry ------------------------------------------------------
     @property
     def dim(self):
-        if self.kind == "rectangle":
-            return self.params["lo"].size
-        if self.kind == "implicit":
+        if self.kind in ("rectangle", "implicit"):
             return self.params["lo"].size
         return self.params["center"].size
 
@@ -346,11 +237,8 @@ class DomainSpec:
         if self.kind == "half_disk_flat_bottom":
             c, r = self.params["center"], self.params["radius"]
             lo = c - r
-            lo = lo.copy()
             lo[-1] = c[-1]
             return lo, c + r
-        if self.kind == "rectangle":
-            return self.params["lo"], self.params["hi"]
         return self.params["lo"], self.params["hi"]
 
     @property
@@ -432,7 +320,7 @@ class DomainSpec:
         y = np.array(x, dtype=float, copy=True)
         for _ in range(30):
             phi = np.atleast_1d(self.sdf(y))
-            grad = self._implicit_grad(y)
+            grad = self._sdf_grad(y)
             g2 = np.sum(grad * grad, axis=-1)
             g2 = np.where(g2 < 1e-14, 1.0, g2)
             y = y - (phi / g2)[..., None] * grad
@@ -440,7 +328,7 @@ class DomainSpec:
                 break
         return y
 
-    def _implicit_grad(self, x):
+    def _sdf_grad(self, x):
         step = 1e-6  # central-difference step
         x = np.asarray(x, dtype=float)
         grad = np.zeros_like(x)
@@ -451,34 +339,15 @@ class DomainSpec:
         return grad
 
     def normal(self, x):
-        """Outward unit normal at (or near) a boundary point."""
+        """Outward unit normal at (or near) a boundary point: closed form
+        on a disk, the normalized central-difference gradient of the
+        signed distance elsewhere."""
         x = np.asarray(x, dtype=float)
         if self.kind == "disk":
             c = self.params["center"]
             v = x - c
             return v / np.linalg.norm(v, axis=-1, keepdims=True)
-        if self.kind == "half_disk_flat_bottom":
-            c, r = self.params["center"], self.params["radius"]
-            on_flat = np.abs(x[..., -1] - c[-1]) < 1e-9
-            v = x - c
-            nrm = np.linalg.norm(v, axis=-1, keepdims=True)
-            nrm = np.where(nrm < 1e-14, 1.0, nrm)
-            arc_n = v / nrm
-            flat_n = np.zeros_like(x)
-            flat_n[..., -1] = -1.0
-            return np.where(on_flat[..., None], flat_n, arc_n)
-        if self.kind == "rectangle":
-            lo, hi = self.params["lo"], self.params["hi"]
-            faces = np.maximum(lo - x, x - hi)
-            i = np.argmax(faces, axis=-1)
-            sign = np.where(np.take_along_axis(
-                x - hi, i[..., None], axis=-1)[..., 0] >=
-                np.take_along_axis(lo - x, i[..., None], axis=-1)[..., 0],
-                1.0, -1.0)
-            n = np.zeros_like(x)
-            np.put_along_axis(n, i[..., None], sign[..., None], axis=-1)
-            return n
-        grad = self._implicit_grad(x)
+        grad = self._sdf_grad(x)
         nrm = np.linalg.norm(grad, axis=-1, keepdims=True)
         nrm = np.where(nrm < 1e-14, 1.0, nrm)
         return grad / nrm
@@ -542,13 +411,17 @@ class DomainSpec:
         return self.sdf(y) < 0
 
 
-# iddc_audit's verdict: no run of identical rational normals longer
-# than AUDIT_MAX_RUN samples, and at most AUDIT_MAX_FRACTION rational
+# iddc_audit samples AUDIT_SAMPLES boundary normals and classifies each
+# with denominators up to AUDIT_MAX_DENOMINATOR.  Its verdict: no run of
+# identical rational normals longer than AUDIT_MAX_RUN samples, and at
+# most AUDIT_MAX_FRACTION rational
+AUDIT_SAMPLES = 360
+AUDIT_MAX_DENOMINATOR = 100
 AUDIT_MAX_RUN = 2
 AUDIT_MAX_FRACTION = 0.2
 
 
-def iddc_audit(dom, samples=360, max_denominator=100):
+def iddc_audit(dom):
     """Sample boundary normals and look for rational facets.
 
     A sampling heuristic: it can refute the irrational-direction-dense
@@ -559,8 +432,7 @@ def iddc_audit(dom, samples=360, max_denominator=100):
     found (start/end arclength and shared m), per-point degeneracies,
     and the verdict.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = AUDIT_SAMPLES
     pts, normals, s, total = dom.boundary_points(samples)
     keys = []
     degenerate = []
@@ -570,7 +442,7 @@ def iddc_audit(dom, samples=360, max_denominator=100):
             degenerate.append(j)
             keys.append(None)
             continue
-        d = classify_direction(n, max_denominator=max_denominator)
+        d = classify_direction(n, max_denominator=AUDIT_MAX_DENOMINATOR)
         if d.is_rational:
             m = d.m
             lead = m[np.nonzero(m)[0][0]]

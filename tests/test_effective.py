@@ -5,10 +5,11 @@ import pytest
 
 from homogbc import corrector as corr
 from homogbc import effective, fdsolver
-from homogbc.effective import (OscillatingProblem, boundary_layer_compare,
-                               build_envelopes, effective_sandwich,
-                               sample_gbar_on_boundary, solve_oscillating)
-from homogbc.fdsolver import SolveError, discretize, solve_dirichlet
+from homogbc.effective import (BoundaryEnvelope, OscillatingProblem,
+                               boundary_layer_compare, build_envelopes,
+                               effective_sandwich, sample_gbar_on_boundary,
+                               solve_oscillating)
+from homogbc.fdsolver import INTERIOR, SolveError, discretize, solve_dirichlet
 from homogbc.geometry import DomainSpec
 from homogbc.operators import SourceAndBoundaryData, laplacian
 
@@ -142,6 +143,38 @@ def test_sandwich_on_disk(cosdata_problem, sampled_env):
     assert verdict.envelope_gap >= 0.0
     assert verdict.converged
     assert verdict.envelope_gap <= verdict.gap_budget
+
+
+def test_one_compact_set_for_bump_and_sandwich(monkeypatch, cosdata_problem,
+                                              sampled_env):
+    # sup_K v and the sandwich check read the one K_SCALE: a value other
+    # than the default moves both
+    monkeypatch.setattr(effective, "K_SCALE", 0.5)
+    solved = []
+
+    def kept(prob, **kwargs):
+        out = solve_dirichlet(prob, **kwargs)
+        solved.append(out[0])
+        return out
+
+    monkeypatch.setattr(effective, "solve_dirichlet", kept)
+    env = build_envelopes(cosdata_problem, BoundaryEnvelope(
+        delta=sampled_env.delta, samples=list(sampled_env.samples),
+        excluded=list(sampled_env.excluded),
+        total_length=sampled_env.total_length, g_sup=sampled_env.g_sup))
+    v = solved[0]
+    VX = v.coords()[v.mask == INTERIOR]
+    vals = v.values[v.mask == INTERIOR]
+    v_sup_K = env.correction["v_sup_K"]
+    assert v_sup_K == np.max(vals[DISK.contains_scaled(VX, 0.5)])
+    assert np.max(vals[DISK.contains_scaled(VX, 2 / 3)]) > v_sup_K
+    verdict, _, _, fields = effective_sandwich(cosdata_problem, env, [1 / 16],
+                                               h_pm=1 / 64)
+    assert verdict.K_scale == 0.5
+    u = fields[1 / 16]
+    X = u.coords()[u.mask == INTERIOR]
+    assert verdict.per_eps[0]["n_K_points"] == \
+        np.count_nonzero(DISK.contains_scaled(X, 0.5))
 
 
 def test_sandwich_envelopes_share_one_factor(monkeypatch, cosdata_problem,

@@ -201,6 +201,28 @@ def test_krylov_failure_raises_without_direct_fallback(monkeypatch):
         fdsolver._solve_sparse(system, 3, no_direct, linear=True)
 
 
+def test_linear_solve_above_tol_raises_at_the_floor():
+    # a linear problem is a policy fixed point after its one direct
+    # solve: a residual above 10*tol there stops the loop with a
+    # SolveError, not a second policy
+    p = discretize(laplacian(), RECT, 1 / 16, boundary=_harmonic)
+    with pytest.raises(SolveError, match="in 1 policies") as err:
+        solve_dirichlet(p, tol=1e-300)
+    assert len(err.value.history) == 1
+    assert 0.0 < err.value.history[0] < 1e-10
+
+
+def test_policy_cap_raises_with_history(monkeypatch):
+    # Pucci+ on harmonic data needs more than one policy: with the cap
+    # at one, the loop ends unconverged and reports the residual
+    monkeypatch.setattr(fdsolver, "MAX_POLICIES", 1)
+    p = discretize(pucci_plus(1.0, 2.0), RECT, 1 / 16, boundary=_harmonic)
+    with pytest.raises(SolveError, match="in 1 policies") as err:
+        solve_dirichlet(p)
+    assert len(err.value.history) == 1
+    assert err.value.history[0] > 1.0
+
+
 def test_factor_reuse_scope_nests_and_frees_on_exception():
     p = discretize(laplacian(), RECT, 1 / 16, boundary=_harmonic)
     with pytest.raises(RuntimeError):

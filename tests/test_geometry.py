@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from homogbc.geometry import (DomainSpec, NoNearIntegerPoint, classify_direction,
-                              equidist_ratio, iddc_audit, in_D_delta,
-                              near_integer_point)
+from homogbc.geometry import (DomainSpec, classify_direction, equidist_ratio,
+                              iddc_audit, in_D_delta)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -51,16 +50,13 @@ def test_classify_scale_invariant():
 def test_in_D_delta(m, delta, member):
     v = np.asarray(m, float)
     d = classify_direction(v / np.linalg.norm(v))
-    got, vacuous = in_D_delta(d, delta)
-    assert got is member
-    assert not vacuous
+    assert in_D_delta(d, delta) is member
 
 
 def test_in_D_delta_vacuous_for_irrational():
     d = classify_direction(np.array([1.0, SQRT2]) / math.sqrt(3.0),
                            max_denominator=10 ** 6)
-    member, vacuous = in_D_delta(d, 0.5)
-    assert member and vacuous
+    assert in_D_delta(d, 0.5) is True
 
 
 def test_equidist_golden_ratio():
@@ -102,23 +98,6 @@ def test_equidist_error_shrinks_with_R():
         assert abs(res["ratio"] - 0.1) <= 2.0 / math.sqrt(res["N"])
 
 
-def test_near_integer_point_invariant():
-    d = classify_direction(np.array([1.0, SQRT2]) / math.sqrt(3.0),
-                           max_denominator=10 ** 6)
-    for kp, delta in [([0.0], 0.05), ([3.7], 0.05), ([10.2], 0.02)]:
-        lat, R = near_integer_point(d, kp, delta)
-        assert 0.0 <= lat.t <= delta
-        # independent re-check: the anchor's hyperplane height mod 1
-        slope = lat.hat_point - lat.integer_anchor
-        assert np.max(np.abs(slope)) <= delta + 1e-12
-
-
-def test_near_integer_point_gate():
-    d = classify_direction(np.array([1.0, 1.0]) / SQRT2)
-    with pytest.raises(NoNearIntegerPoint):
-        near_integer_point(d, [0.0], 0.1)
-
-
 def test_disk_sdf_project_normal():
     dom = DomainSpec.disk((1.0, -2.0), 0.5)
     x = np.array([1.0, -1.3])
@@ -127,6 +106,28 @@ def test_disk_sdf_project_normal():
     np.testing.assert_allclose(p, [1.0, -1.5], atol=1e-12)
     np.testing.assert_allclose(dom.normal(p), [0.0, 1.0], atol=1e-12)
     assert dom.sdf(np.array([1.0, -2.0])) == pytest.approx(-0.5)
+
+
+BOX = DomainSpec.rectangle((0.0, 0.0), (2.0, 1.0))
+HALF = DomainSpec.half_disk_flat_bottom((0.0, 1.0), 1.0)
+
+
+@pytest.mark.parametrize("dom,x,n", [
+    (BOX, (2.0, 0.3), (1.0, 0.0)),
+    (BOX, (0.0, 0.7), (-1.0, 0.0)),
+    (BOX, (1.2, 1.0), (0.0, 1.0)),
+    (BOX, (0.5, 0.0), (0.0, -1.0)),
+    (HALF, (0.3, 1.0), (0.0, -1.0)),
+    (HALF, (math.cos(1.0), 1.0 + math.sin(1.0)),
+     (math.cos(1.0), math.sin(1.0))),
+    (HALF, (math.cos(2.5), 1.0 + math.sin(2.5)),
+     (math.cos(2.5), math.sin(2.5))),
+])
+def test_normal_matches_closed_form(dom, x, n):
+    # rectangles and half disks take the signed-distance gradient
+    np.testing.assert_allclose(dom.normal(np.array(x)), n, atol=1e-6)
+    np.testing.assert_allclose(dom.normal(np.array([x, x])), [n, n],
+                               atol=1e-6)
 
 
 def test_rectangle_and_scaled_copy():
@@ -160,15 +161,12 @@ def test_implicit_domain_annulus():
 
 
 def test_iddc_audit_disk_vs_flats():
-    disk = iddc_audit(DomainSpec.disk((0.0, 0.0), 1.0), samples=360,
-                      max_denominator=100)
+    disk = iddc_audit(DomainSpec.disk((0.0, 0.0), 1.0))
     assert disk["iddc_plausible"]
-    half = iddc_audit(DomainSpec.half_disk_flat_bottom((0.0, 1.0), 1.0),
-                      samples=360, max_denominator=100)
+    half = iddc_audit(DomainSpec.half_disk_flat_bottom((0.0, 1.0), 1.0))
     assert not half["iddc_plausible"]
     flat_ms = [tuple(iv["m"]) for iv in half["intervals"]
                if iv["n_samples"] > 2]
     assert (0, 1) in flat_ms
-    square = iddc_audit(DomainSpec.rectangle((0.0, 0.0), (1.0, 1.0)),
-                        samples=360, max_denominator=100)
+    square = iddc_audit(DomainSpec.rectangle((0.0, 0.0), (1.0, 1.0)))
     assert not square["iddc_plausible"]
