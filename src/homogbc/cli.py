@@ -3,8 +3,9 @@
 Every subcommand reads a JSON config, writes its outputs plus a run
 manifest (config echo, versions, wall time) into the output directory,
 and exits 0 on success, 2 on config errors, 3 on numerical failures,
-and 4 when a computed verdict is false.  Same config + seed gives
-byte-identical numeric outputs.
+and 4 when a computed verdict is false.  ``--output-dir`` is the only
+way to set the output directory (default: the current one).  The same
+config gives byte-identical numeric outputs.
 """
 
 import argparse
@@ -103,7 +104,7 @@ def _cmd_solve(cfg, out):
     op = _operator_from(cfg["operator"])
     data = _data_from(cfg, dom.dim)
     p = eff.OscillatingProblem(dom, cfg["epsilon"], op, data)
-    u, rec = eff.solve_oscillating(p, cfg["h"], tol=cfg.get("tol", 1e-8))
+    u, rec = eff.solve_oscillating(p, cfg["h"])
     grid_path = os.path.join(out, "solution.grid")
     u.dump(grid_path)
     _write_json(os.path.join(out, "solve.json"), {
@@ -119,9 +120,9 @@ def _cmd_corrector(cfg, out):
                             / np.linalg.norm(cfg["nu"]))
     p = corr.build_strip(np.asarray(cfg["x0"], float), nu, cfg["epsilon"],
                          T=cfg["T"], L=cfg["L"], h=cfg["h"], data=data,
-                         op=op, seed=cfg.get("seed", 0))
-    sol = corr.solve_corrector(p, tol=cfg.get("tol", 1e-8))
-    alpha, err, rec = corr.ray_limit(p, sol, tol=cfg.get("tol", 1e-8))
+                         op=op)
+    sol = corr.solve_corrector(p)
+    alpha, err, rec = corr.ray_limit(p, sol)
     _write_csv(os.path.join(out, "profile.csv"), ["t", "W"],
                list(zip(sol.profile.heights, sol.profile.W)))
     sol.field.dump(os.path.join(out, "corrector.grid"))
@@ -150,9 +151,7 @@ def _cmd_gbar(cfg, out):
             nu = classify_direction(np.asarray(cfg["nu"], float)
                                     / np.linalg.norm(cfg["nu"]))
             est = corr.estimate_gbar(x0, nu, cfg["eps_list"], T=T, L=L, h=h,
-                                     data=data, op=op,
-                                     tol=cfg.get("tol", 1e-8),
-                                     seed=cfg.get("seed", 0))
+                                     data=data, op=op)
             records.append(est.to_record())
             for pe in est.per_eps:
                 rows.append([*x0, pe["eps"], pe["alpha"], pe["err"]])
@@ -161,8 +160,7 @@ def _cmd_gbar(cfg, out):
         p = eff.OscillatingProblem(dom, min(cfg["eps_list"]), op, data)
         env = eff.sample_gbar_on_boundary(
             p, cfg["n_points"], cfg["eps_list"], cfg["delta"], T=T, L=L,
-            h_strip=h, offset=cfg.get("offset", 0.5),
-            tol=cfg.get("tol", 1e-8), seed=cfg.get("seed", 0))
+            h_strip=h, offset=cfg.get("offset", 0.5))
         for sm in env.samples:
             rows.append([*sm["x"], sm["s"], sm["gbar"], sm["err"],
                          sm["kind"]])
@@ -180,7 +178,7 @@ def _cmd_equidist(cfg, out):
         np.asarray(cfg["nu"], float) / np.linalg.norm(cfg["nu"]))
     rows = []
     for R in cfg["R_list"]:
-        res = equidist_ratio(nu, cfg["delta"], cfg.get("t0", 0.0), R)
+        res = equidist_ratio(nu, cfg["delta"], 0.0, R)
         rows.append([R, res["A"], res["N"], res["ratio"]])
     _write_csv(os.path.join(out, "equidist.csv"),
                ["R", "A", "N", "ratio"], rows)
@@ -209,20 +207,15 @@ def _cmd_barriers(cfg, out):
                 spec = BarrierSpec.radial_interior(n, lam, Lam)
                 op = pucci_plus(lam, Lam, n)
             elif kind == "radial_exterior":
-                spec = BarrierSpec.radial_exterior(n, lam, Lam,
-                                                   cfg.get("r0", 1.0))
+                spec = BarrierSpec.radial_exterior(n, lam, Lam, 1.0)
                 op = pucci_plus(lam, Lam, n)
             elif kind == "quad_strip":
-                spec = BarrierSpec.quad_strip(n, lam, Lam,
-                                              s=cfg.get("s", 1.0),
-                                              amplitude=cfg.get(
-                                                  "amplitude", 4.0))
+                spec = BarrierSpec.quad_strip(n, lam, Lam, amplitude=4.0)
                 op = pucci_plus(lam, Lam, n)
             else:
                 raise ConfigError(f"unknown barrier kind {kind!r}")
             rep = verify_supersolution(spec, op,
-                                       n_samples=cfg.get("n_samples", 1000),
-                                       seed=cfg.get("seed", 0))
+                                       n_samples=cfg.get("n_samples", 1000))
             reports[kind] = rep
             ok = ok and rep["is_supersolution"]
         except (StabilityError, DegenerateBarrier) as e:
@@ -242,12 +235,10 @@ def _cmd_homogenize(cfg, out):
     env = eff.sample_gbar_on_boundary(
         p, cfg.get("n_boundary", 24), cfg.get("gbar_eps", eps_list),
         cfg["delta"], T=T, L=strip.get("L", 6.0 * T),
-        h_strip=strip.get("h", 1 / 16), offset=cfg.get("offset", 0.5),
-        tol=cfg.get("tol", 1e-8), seed=cfg.get("seed", 0))
+        h_strip=strip.get("h", 1 / 16), offset=cfg.get("offset", 0.5))
     env = eff.build_envelopes(p, env)
-    verdict, _, _, _ = eff.effective_sandwich(
-        p, env, eps_list, h_pm=cfg.get("h_pm", min(eps_list) / 8.0),
-        tol=cfg.get("tol", 1e-6))
+    verdict = eff.effective_sandwich(
+        p, env, eps_list, h_pm=cfg.get("h_pm", min(eps_list) / 8.0))
     _write_csv(os.path.join(out, "convergence.csv"),
                ["epsilon", "h", "above_plus", "below_minus", "sup_gap",
                 "ok"],
@@ -274,7 +265,7 @@ def _cmd_homogenize(cfg, out):
 
 def _cmd_validate(cfg, out):
     op = _operator_from(cfg["operator"])
-    report = validate_operator(op, seed=cfg.get("seed", 0))
+    report = validate_operator(op)
     _write_json(os.path.join(out, "validate.json"), report)
     return EXIT_OK if report["ok"] else EXIT_VERDICT_FALSE, ["validate.json"]
 
@@ -301,8 +292,10 @@ def main(argv=None):
                     "elliptic problems")
     ap.add_argument("command", choices=sorted(_COMMANDS))
     ap.add_argument("config", help="path to a JSON config file")
-    ap.add_argument("--output-dir", default=None,
-                    help="override the config/env output directory")
+    ap.add_argument("--output-dir", default=".",
+                    help="directory for the outputs and the manifest "
+                         "(default: the current one); the only way to "
+                         "set it")
     args = ap.parse_args(argv)
     try:
         with open(args.config) as fh:
@@ -315,8 +308,7 @@ def main(argv=None):
         print(f"config error: {args.config} line {e.lineno} col {e.colno}: "
               f"{e.msg}", file=sys.stderr)
         return EXIT_CONFIG
-    out = args.output_dir or os.environ.get("HOMOGBC_OUTPUT_DIR") \
-        or cfg.get("output_dir") or "."
+    out = args.output_dir
     os.makedirs(out, exist_ok=True)
     t0 = time.perf_counter()
     try:

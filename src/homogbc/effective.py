@@ -184,21 +184,22 @@ def _trace_mean_varies(data, x0, m, tol):
 N_DENSE = 4096
 
 
-def _rational_direction_balls(p, delta, radius):
+def _rational_direction_balls(p, delta, radius, g_sup):
     """Balls covering boundary points whose inward normal is a rational
     direction outside D_delta at which gbar is actually discontinuous.
 
     Enumerates the reduced integer directions with sup-norm <= 1/delta,
     keeps those whose hyperplane trace average of the datum varies with
-    the offset (in 2d; higher dimensions keep all of them), and covers
-    the matching boundary runs with balls spaced one radius apart.
+    the offset by more than 2% of ``g_sup`` (in 2d; higher dimensions
+    keep all of them), and covers the matching boundary runs with balls
+    spaced one radius apart.
     """
     import itertools
 
     dom = p.domain
     n = dom.dim
     M = int(math.floor(1.0 / delta))
-    g_osc_tol = 0.02 * max(p.data.g_sup(np.zeros(p.domain.dim)), 1e-12)
+    g_osc_tol = 0.02 * max(g_sup, 1e-12)
     units = []
     for m in itertools.product(range(-M, M + 1), repeat=n):
         if not any(m):
@@ -242,7 +243,7 @@ def _rational_direction_balls(p, delta, radius):
 
 
 def sample_gbar_on_boundary(p, n_points, eps_list, delta, T=4.0, L=None,
-                            h_strip=1 / 16, offset=0.0, tol=1e-8, seed=0,
+                            h_strip=1 / 16, offset=0.0, tol=1e-8,
                             reuse=None):
     """Estimate gbar at boundary points; exclude directions off D_delta.
 
@@ -253,16 +254,18 @@ def sample_gbar_on_boundary(p, n_points, eps_list, delta, T=4.0, L=None,
     carry a previous envelope whose samples (which do not depend on
     delta) are reused at matching arclengths.  The points share one
     ``factor_reuse`` scope; its counts of factorizations and reused
-    solves go to ``env.factor_reuse``.
+    solves go to ``env.factor_reuse``.  ``env.g_sup``, the ||g|| of the
+    envelopes, is the largest sup_y |g(x, y)| over the sampled points x.
     """
     if L is None:
         L = 6.0 * T
     pts, normals, arcs, total = p.domain.boundary_points(n_points,
                                                          offset=offset)
     env = BoundaryEnvelope(delta=float(delta), total_length=float(total))
-    env.g_sup = p.data.g_sup(np.zeros(p.domain.dim))
+    env.g_sup = max((p.data.g_sup(x) for x in pts), default=0.0)
     excluded_radius = delta * p.domain.diameter / 16.0
-    env.excluded = _rational_direction_balls(p, delta, excluded_radius)
+    env.excluded = _rational_direction_balls(p, delta, excluded_radius,
+                                             env.g_sup)
     cache = {}
     if reuse is not None:
         cache = {round(sm["s"], 9): sm for sm in reuse.samples}
@@ -291,8 +294,7 @@ def sample_gbar_on_boundary(p, n_points, eps_list, delta, T=4.0, L=None,
                     continue
             try:
                 est = corr.estimate_gbar(x, d, eps_list, T=T, L=L, h=h_strip,
-                                         data=p.data, op=p.operator, tol=tol,
-                                         seed=seed)
+                                         data=p.data, op=p.operator, tol=tol)
             except (RuntimeError, CertificateError) as e:
                 env.notes.append(f"gbar estimate failed at s={s:.4f}: {e}")
                 continue
@@ -472,7 +474,7 @@ def effective_sandwich(p, env, eps_list, h_pm, tol=1e-6):
     The effective operator is the problem operator, which must not
     depend on the fast variable.  u+ and u- are solved in one
     ``factor_reuse`` scope, so a linear operator is factored once for
-    both.
+    both.  Returns the SandwichVerdict.
     """
     if not env.complete:
         raise ValueError("envelope is not completed; run build_envelopes")
@@ -493,14 +495,12 @@ def effective_sandwich(p, env, eps_list, h_pm, tol=1e-6):
                             source=p.data.source)
         u_minus, _ = solve_dirichlet(prob_m, tol=tol)
     per_eps = []
-    fields = {}
     gap_sup = 0.0
     all_ok = True
     for eps in sorted(eps_list, reverse=True):
         q = OscillatingProblem(p.domain, eps, p.operator, p.data)
         h = eps / 8.0
         u, _ = solve_oscillating(q, h, tol=tol)
-        fields[eps] = u
         X = u.coords()[u.mask == INTERIOR]
         on_K = p.domain.contains_scaled(X, K_SCALE)
         XK = X[on_K]
@@ -533,8 +533,7 @@ def effective_sandwich(p, env, eps_list, h_pm, tol=1e-6):
     budget = (2.0 * env.delta + 2.0 * env.delta * 2.0 * env.g_sup
               + 2.0 * c.get("slack", 0.0) + 10 * tol)
     converged = all_ok and gap_sup <= budget
-    verdict = SandwichVerdict(K_scale=float(K_SCALE), per_eps=per_eps,
-                              envelope_gap=gap_sup, gap_budget=float(budget),
-                              converged=bool(converged), notes=notes)
-    return verdict, u_plus, u_minus, fields
+    return SandwichVerdict(K_scale=float(K_SCALE), per_eps=per_eps,
+                           envelope_gap=gap_sup, gap_budget=float(budget),
+                           converged=bool(converged), notes=notes)
 

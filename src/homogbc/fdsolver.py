@@ -775,9 +775,10 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
     called only when B is factored, so the Krylov path never builds
     it.  A ``linear`` system (its matrix does not depend on the
     iterate) solved directly inside a ``factor_reuse`` scope goes
-    through the scope's retained LU.  Large systems take BiCGSTAB only,
-    started from ``x0`` if given; a Krylov failure raises SolveError rather
-    than falling back to a direct solve of the same size.  A ``target``
+    through the scope's retained LU.  A 3-d system of more than 60,000
+    unknowns takes BiCGSTAB only, started from ``x0`` if given; a
+    Krylov failure raises SolveError rather than falling back to a
+    direct solve of the same size.  Every 2-d system takes the LU path.  A ``target``
     above the full-accuracy floor 1e-12 ||b||_2 makes a Krylov solve
     inexact: BiCGSTAB stops once ||Bx - b||_2 < target; without one it
     runs to rtol 1e-12.  Below the switch the same holds when
@@ -805,7 +806,7 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
     n = B.shape[0]
     krylov = 0
     fill = None
-    on_krylov = n > 400_000 or (dim >= 3 and n > 60_000)
+    on_krylov = dim >= 3 and n > 60_000
     if target is not None and target <= 1e-12 * np.linalg.norm(b):
         target = None  # the full-accuracy floor
 

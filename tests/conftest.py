@@ -182,8 +182,8 @@ def criterion8():
     env0 = eff.sample_gbar_on_boundary(p, 24, [1 / 8, 1 / 16], delta=0.1,
                                        T=8.0, h_strip=1 / 16, offset=0.5)
     env = eff.build_envelopes(p, env0)
-    verdict, _, _, _ = eff.effective_sandwich(p, env, [1 / 10, 1 / 20, 1 / 40],
-                                              h_pm=1 / 64)
+    verdict = eff.effective_sandwich(p, env, [1 / 10, 1 / 20, 1 / 40],
+                                     h_pm=1 / 64)
     gaps = {}
     for i in (2, 4, 8):
         envd = eff.sample_gbar_on_boundary(p, 24, [1 / 8, 1 / 16],
@@ -191,7 +191,7 @@ def criterion8():
                                            h_strip=1 / 16, offset=0.5,
                                            reuse=env0)
         envd = eff.build_envelopes(p, envd)
-        vd, _, _, _ = eff.effective_sandwich(p, envd, [1 / 10], h_pm=1 / 64)
+        vd = eff.effective_sandwich(p, envd, [1 / 10], h_pm=1 / 64)
         gaps[i] = vd.envelope_gap
         rows.append([1.0 / i, gaps[i]])
     return {"norms": norms, "verdict": verdict, "gaps": gaps,

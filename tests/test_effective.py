@@ -136,9 +136,24 @@ def test_envelope_refinement_monotone(cosdata_problem, sampled_env):
     assert np.all(fine.h_minus(pts) >= coarse.h_minus(pts) - 1e-9)
 
 
+def _kept_fields(monkeypatch, name):
+    """Spy on ``effective.<name>``: the list it returns collects the
+    field of every call, in call order."""
+    solve = getattr(effective, name)
+    kept = []
+
+    def spy(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        kept.append(out[0])
+        return out
+
+    monkeypatch.setattr(effective, name, spy)
+    return kept
+
+
 def test_sandwich_on_disk(cosdata_problem, sampled_env):
-    verdict, up, um, fields = effective_sandwich(
-        cosdata_problem, sampled_env, [1 / 16], h_pm=1 / 64)
+    verdict = effective_sandwich(cosdata_problem, sampled_env, [1 / 16],
+                                 h_pm=1 / 64)
     assert all(r["ok"] for r in verdict.per_eps)
     assert verdict.envelope_gap >= 0.0
     assert verdict.converged
@@ -150,14 +165,7 @@ def test_one_compact_set_for_bump_and_sandwich(monkeypatch, cosdata_problem,
     # sup_K v and the sandwich check read the one K_SCALE: a value other
     # than the default moves both
     monkeypatch.setattr(effective, "K_SCALE", 0.5)
-    solved = []
-
-    def kept(prob, **kwargs):
-        out = solve_dirichlet(prob, **kwargs)
-        solved.append(out[0])
-        return out
-
-    monkeypatch.setattr(effective, "solve_dirichlet", kept)
+    solved = _kept_fields(monkeypatch, "solve_dirichlet")
     env = build_envelopes(cosdata_problem, BoundaryEnvelope(
         delta=sampled_env.delta, samples=list(sampled_env.samples),
         excluded=list(sampled_env.excluded),
@@ -168,10 +176,10 @@ def test_one_compact_set_for_bump_and_sandwich(monkeypatch, cosdata_problem,
     v_sup_K = env.correction["v_sup_K"]
     assert v_sup_K == np.max(vals[DISK.contains_scaled(VX, 0.5)])
     assert np.max(vals[DISK.contains_scaled(VX, 2 / 3)]) > v_sup_K
-    verdict, _, _, fields = effective_sandwich(cosdata_problem, env, [1 / 16],
-                                               h_pm=1 / 64)
+    oscillating = _kept_fields(monkeypatch, "solve_oscillating")
+    verdict = effective_sandwich(cosdata_problem, env, [1 / 16], h_pm=1 / 64)
     assert verdict.K_scale == 0.5
-    u = fields[1 / 16]
+    u, = oscillating
     X = u.coords()[u.mask == INTERIOR]
     assert verdict.per_eps[0]["n_K_points"] == \
         np.count_nonzero(DISK.contains_scaled(X, 0.5))
@@ -190,8 +198,11 @@ def test_sandwich_envelopes_share_one_factor(monkeypatch, cosdata_problem,
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(fdsolver.spla, "splu", counted)
-    _, up, um, _ = effective_sandwich(cosdata_problem, sampled_env, [1 / 16],
-                                      h_pm=1 / 64)
+    # u+ and u- are the sandwich's first two solves; the third is u_eps
+    solved = _kept_fields(monkeypatch, "solve_dirichlet")
+    effective_sandwich(cosdata_problem, sampled_env, [1 / 16], h_pm=1 / 64)
+    up, um = solved[:2]
+    assert len(solved) == 3
     monkeypatch.setattr(fdsolver.spla, "splu", splu)
     for env_h, u in ((sampled_env.h_plus, up), (sampled_env.h_minus, um)):
         q = discretize(laplacian(), DISK, 1 / 64, boundary=env_h,
@@ -217,6 +228,32 @@ def test_sample_gbar_files_only_numerical_failures(monkeypatch, exc):
     assert not env.samples
     failed = [n for n in env.notes if "gbar estimate failed" in n]
     assert failed and all("injected" in n for n in failed)
+
+
+def test_g_sup_is_taken_on_the_boundary(monkeypatch):
+    # ||g|| of x-dependent data is its sup over the sampled boundary
+    # points, not at x = 0, where x1*cos(2*pi*y1) vanishes; the
+    # rational-direction scan reads the same value
+    def fail(*args, **kwargs):
+        raise SolveError("injected")
+
+    monkeypatch.setattr(corr, "estimate_gbar", fail)
+    scan = effective._rational_direction_balls
+    seen = []
+
+    def spy(*args):
+        seen.append(args[-1])
+        return scan(*args)
+
+    monkeypatch.setattr(effective, "_rational_direction_balls", spy)
+    data = SourceAndBoundaryData.from_exprs("x1*cos(2*pi*y1)", "0", dim=2,
+                                            period=(1.0, 1.0))
+    p = OscillatingProblem(DISK, 1 / 16, laplacian(), data)
+    env = sample_gbar_on_boundary(p, 24, [1 / 8, 1 / 16], delta=0.5,
+                                  offset=0.5)
+    pts = DISK.boundary_points(24, 0.5)[0]
+    assert env.g_sup == np.max(np.abs(pts[:, 0])) > 0.89
+    assert seen == [env.g_sup]
 
 
 @pytest.mark.parametrize("exc", [ValueError, TypeError])

@@ -201,6 +201,24 @@ def test_krylov_failure_raises_without_direct_fallback(monkeypatch):
         fdsolver._solve_sparse(system, 3, no_direct, linear=True)
 
 
+def test_large_2d_system_is_solved_directly(monkeypatch):
+    # every 2-d system takes the LU path, however large: unpreconditioned
+    # BiCGSTAB stalls on 2-d Laplace systems of this size
+    def no_krylov(*args, **kwargs):
+        raise AssertionError("BiCGSTAB called")
+
+    monkeypatch.setattr(fdsolver.spla, "bicgstab", no_krylov)
+    n = 400_001
+    system = fdsolver.LinearSystem(
+        fdsolver.sparse.identity(n, format="csr"), np.arange(n, dtype=float),
+        1.0)
+    report = {}
+    x = fdsolver._solve_sparse(system, 2, lambda: np.arange(n), linear=True,
+                               report=report)
+    assert report["path"] == "direct" and report["krylov_iterations"] == 0
+    np.testing.assert_array_equal(x, np.arange(n, dtype=float))
+
+
 def test_linear_solve_above_tol_raises_at_the_floor():
     # a linear problem is a policy fixed point after its one direct
     # solve: a residual above 10*tol there stops the loop with a
