@@ -227,6 +227,10 @@ def _cmd_barriers(cfg, out):
 def _cmd_homogenize(cfg, out):
     dom = _domain_from(cfg["domain"])
     op = _operator_from(cfg["operator"])
+    if op.y_dependent:
+        # refused before the strips: the sandwich would refuse it last
+        raise ConfigError("operator: depends on the fast variable; the "
+                          "sandwich has no effective operator for it")
     data = _data_from(cfg, dom.dim)
     eps_list = cfg["eps_list"]
     p = eff.OscillatingProblem(dom, min(eps_list), op, data)

@@ -17,11 +17,16 @@ Masked Dirichlet grids and the periodic cell problem on a torus are the
 same DiscreteProblem, solved by Howard policy iteration: freeze the
 optimizing member at each node, solve the resulting linear system,
 which stores only that member's stencil and is assembled straight
-into CSR (a sparse LU, or BiCGSTAB for large 3-d systems; every
+into CSR (a sparse LU, or BiCGSTAB above the Krylov switch; every
 solve is checked by its residual), and re-optimize until the nonlinear
 residual is below tolerance.  Every direct solve factors its matrix
 under one nested-dissection order of the grid's unknowns (George
 1973), computed once per problem and only when it first factors.
+Above the switch a linear system runs BiCGSTAB preconditioned by a
+plain-aggregation V-cycle of its matrix (Braess 1995; Vanek, Mandel
+and Brezina 1996), whose aggregates are built once per problem and
+only when it first needs them; in 2-d a linear system inside a
+``factor_reuse`` scope keeps the LU the scope reuses.
 Howard is inexact (Dembo-Eisenstat-Steihaug forcing): each BiCGSTAB
 starts from the current iterate and stops at ETA times its nonlinear
 residual, and the loop accepts only after a full-accuracy solve.
@@ -384,6 +389,25 @@ class DiscreteProblem:
         key = path.astype(np.int64) @ 3 ** np.arange(
             path.shape[1] - 1, -1, -1, dtype=np.int64)
         return np.argsort(key, kind="stable")
+
+    @functools.cached_property
+    def aggregates(self):
+        """The plain-aggregation levels of the interior unknowns (see
+        ``_VCycle``): entry k maps each unknown of level k to its
+        aggregate, the level-(k+1) unknown that stands for one 2^n
+        block of level-k grid indices.  Aggregates are numbered in grid
+        order, and the last level has at most COARSEST unknowns."""
+        shape = np.asarray(self.grid.shape)
+        flat = self.int_flat
+        levels = []
+        while flat.size > COARSEST:
+            coarse = (shape + 1) // 2
+            index = np.unravel_index(flat, shape)
+            flat, agg = np.unique(np.ravel_multi_index(
+                tuple(i // 2 for i in index), coarse), return_inverse=True)
+            levels.append(agg.ravel())
+            shape = coarse
+        return levels
 
     def _matrix(self, w):
         """B = -L in canonical CSR, and its max norm, for the arm
@@ -767,22 +791,81 @@ class _Preconditioner:
         return self.lu
 
 
+# systems of more unknowns take BiCGSTAB: every one in 3-d, and in 2-d a
+# linear one outside a factor_reuse scope (inside one, the LU serves
+# every later solve by a back-solve: 96 V-cycle solves of criterion 8's
+# 98,304-unknown Laplace strips took 25 s against 10 s)
+KRYLOV_SWITCH = 60_000
+# the V-cycle coarsens down to at most this many unknowns, which splu
+# solves, and smooths by one damped-Jacobi sweep of this weight before
+# and after each coarse correction
+COARSEST = 500
+JACOBI_WEIGHT = 0.8
+# the relative 2-norm residual at which a full-accuracy V-cycle solve
+# stops; at 1e-12, as plain BiCGSTAB, the max-norm residual of a 260,513-
+# unknown disk solve stayed at 1.7e-8, above Howard's default tol 1e-8
+VCYCLE_RTOL = 1e-14
+
+
+class _VCycle:
+    """One plain-aggregation V-cycle of the M-matrix B, a fixed linear
+    preconditioner for BiCGSTAB (Braess 1995; Vanek, Mandel and
+    Brezina, Computing 1996).
+
+    Level k + 1 is the Galerkin product P^T A_k P, where P is the
+    0/1 prolongation that copies each aggregate's value to its unknowns
+    (``DiscreteProblem.aggregates``): the sum of A_k's entries between
+    two aggregates.  Summing an M-matrix's rows and columns over
+    aggregates leaves an M-matrix, so every level is nonsingular and
+    diagonally positive.  ``sizes`` lists the unknowns per level.
+    """
+
+    def __init__(self, B, aggregates):
+        self.levels = []
+        A = B
+        for agg in aggregates:
+            rows = np.repeat(agg, np.diff(A.indptr))
+            self.levels.append((A, JACOBI_WEIGHT / A.diagonal(), agg))
+            m = int(agg.max()) + 1
+            A = sparse.csr_matrix((A.data, (rows, agg[A.indices])),
+                                  shape=(m, m))
+        self.coarsest = spla.splu(A.tocsc())
+        self.sizes = [level[0].shape[0] for level in self.levels] + \
+            [A.shape[0]]
+
+    def solve(self, b, k=0):
+        """The cycle applied to ``b`` from level ``k`` down."""
+        if k == len(self.levels):
+            return self.coarsest.solve(b)
+        A, weight, agg = self.levels[k]
+        x = weight * b
+        r = b - A @ x
+        x += self.solve(np.bincount(agg, weights=r), k + 1)[agg]
+        x += weight * (b - A @ x)
+        return x
+
+
 def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
-                  report=None, precond=None):
+                  report=None, precond=None, levels=None):
     """Solve the assembled system B x = b (B = -L, an M-matrix).
 
     A direct solve factors B under the elimination order ``order()``,
     called only when B is factored, so the Krylov path never builds
     it.  A ``linear`` system (its matrix does not depend on the
     iterate) solved directly inside a ``factor_reuse`` scope goes
-    through the scope's retained LU.  A 3-d system of more than 60,000
-    unknowns takes BiCGSTAB only, started from ``x0`` if given; a
+    through the scope's retained LU.  Above the Krylov switch, more
+    than KRYLOV_SWITCH unknowns, a linear system takes BiCGSTAB
+    preconditioned by the plain-aggregation V-cycle of B (``_VCycle``
+    over the aggregates ``levels()``, called only there) in 3-d, and
+    in 2-d outside a ``factor_reuse`` scope; a 3-d nonlinear policy
+    takes plain BiCGSTAB; either starts from ``x0`` if given, and a
     Krylov failure raises SolveError rather than falling back to a
-    direct solve of the same size.  Every 2-d system takes the LU path.  A ``target``
-    above the full-accuracy floor 1e-12 ||b||_2 makes a Krylov solve
-    inexact: BiCGSTAB stops once ||Bx - b||_2 < target; without one it
-    runs to rtol 1e-12.  Below the switch the same holds when
-    ``precond`` (a ``_Preconditioner``) holds an LU with budget left:
+    direct solve of the same size.  Every other 2-d system takes the
+    LU path.  A ``target`` above the full-accuracy floor 1e-12 ||b||_2
+    makes a Krylov solve inexact: BiCGSTAB stops once ||Bx - b||_2 <
+    target; without one it runs to rtol 1e-12 (VCYCLE_RTOL with the
+    V-cycle).  Off the Krylov path the same holds when ``precond`` (a
+    ``_Preconditioner``) holds an LU with budget left:
     BiCGSTAB from ``x0``, preconditioned by that LU, runs at most the
     remaining budget (with B's own LU it stops at its first half step:
     one back-solve).  When the budget runs out short of the stopping
@@ -794,19 +877,21 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
     ||Bx - b|| / (||B|| ||x|| + ||b||) in the max norm against
     RESIDUAL_CHECK.  A failed check raises SolveError.
     ``report``, if given, receives the path taken (``direct``,
-    ``lu_reuse``, ``lu_precond`` or ``bicgstab``), the Krylov
-    iteration count (a spent budget's included), the checked residual,
-    the stopping ``target`` (None at full accuracy) and the ``fill``
-    of the LU used (None on the Krylov path).  A BiCGSTAB iteration
-    applies the preconditioner twice, or once if it stops at its half
-    step, so the count is half the applications, rounded up; the
-    budget is charged by it.
+    ``lu_reuse``, ``lu_precond``, ``vcycle`` or ``bicgstab``), the
+    Krylov iteration count (a spent budget's included), the checked
+    residual, the stopping ``target`` (None at full accuracy), the
+    ``fill`` of the LU used (None on the Krylov path) and the unknowns
+    per level of the V-cycle (``levels``, None off its path).  A
+    BiCGSTAB iteration applies the preconditioner twice, or once if it
+    stops at its half step, so the count is half the applications,
+    rounded up; the budget is charged by it.
     """
     B, b, norm = system
     n = B.shape[0]
     krylov = 0
-    fill = None
-    on_krylov = dim >= 3 and n > 60_000
+    fill = sizes = None
+    on_krylov = n > KRYLOV_SWITCH and (
+        dim >= 3 or linear and _scope is None)
     if target is not None and target <= 1e-12 * np.linalg.norm(b):
         target = None  # the full-accuracy floor
 
@@ -820,18 +905,26 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
     x = None
     if on_krylov or preconditioned:
         applied = 0
+        cycle = None
+        if on_krylov and linear:
+            cycle = _VCycle(B, levels())
+            sizes = cycle.sizes
 
         def apply(v):
             nonlocal applied
             applied += 1
-            return precond.lu.solve(v) if preconditioned else v
+            if preconditioned:
+                return precond.lu.solve(v)
+            return v if cycle is None else cycle.solve(v)
 
-        path = "lu_precond" if preconditioned else "bicgstab"
+        path = "lu_precond" if preconditioned else \
+            "bicgstab" if cycle is None else "vcycle"
         # the preconditioner looks the LU up at each application: no
         # reference to it outlives the call, so a factorization below
         # frees it
         x, info = spla.bicgstab(
-            B, b, x0=x0, rtol=1e-12, atol=0.0 if target is None else target,
+            B, b, x0=x0, rtol=1e-12 if cycle is None else VCYCLE_RTOL,
+            atol=0.0 if target is None else target,
             maxiter=precond.budget if preconditioned else 2000,
             M=spla.LinearOperator((n, n), matvec=apply, dtype=float))
         krylov = (applied + 1) // 2
@@ -842,7 +935,8 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
                     not backward_error(x) <= RESIDUAL_CHECK:
                 x = None  # budget spent, breakdown or check failed
         elif info != 0:
-            raise SolveError(f"BiCGSTAB failed on {n} unknowns (info {info})")
+            raise SolveError(f"BiCGSTAB ({path}) failed on {n} unknowns "
+                             f"(info {info})")
     if x is None:
         path = "direct"
         target = None
@@ -869,7 +963,7 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
                              f"residual {res:.3e} > target {target:.3e}")
     if report is not None:
         report.update(path=path, krylov_iterations=krylov, residual=res,
-                      target=target, fill=fill)
+                      target=target, fill=fill, levels=sizes)
     return x
 
 
@@ -902,17 +996,18 @@ def solve_dirichlet(p, tol=1e-8, start=None, response=None):
     Howard is inexact (Dembo-Eisenstat-Steihaug): the solve of policy
     k starts from the iterate u_k and stops at ETA ||r_k||_2, r_k =
     F_h(u_k) - f being both the nonlinear residual and that solve's
-    initial linear residual.  On the Krylov path that solve is plain
-    BiCGSTAB.  Below the switch the first policy is factored and
+    initial linear residual.  A 3-d policy above the switch is solved
+    by plain BiCGSTAB.  Otherwise the first policy is factored and
     solved exactly; a later one runs BiCGSTAB preconditioned by the LU
     of the last factored policy, within that LU's budget of
     PRECOND_BUDGET iterations, and is factored and solved exactly
     once the budget runs out.  The loop accepts or stops only after a
     full-accuracy solve, so a policy that repeats after an inexact
     solve is solved again at full accuracy (and a linear problem, with
-    its one policy, is solved at full accuracy at once); below the
-    switch that solve, too, runs preconditioned while budget is left,
-    and a policy that repeats after it above tol is factored.
+    its one policy, is solved at full accuracy at once, by BiCGSTAB
+    with the V-cycle above the switch); off the Krylov path that solve,
+    too, runs preconditioned while budget is left, and a policy that
+    repeats after it above tol is factored.
 
     ``response``, a boolean grid array marking ring nodes, asks for
     the linear response to the value on those nodes: psi solves
@@ -953,7 +1048,7 @@ def solve_dirichlet(p, tol=1e-8, start=None, response=None):
             p.assemble(weights), grid.dim, lambda: p.order,
             linear=p.linear, x0=u[p.int_flat],
             target=None if exact else ETA * float(np.linalg.norm(r)),
-            report=report, precond=precond)
+            report=report, precond=precond, levels=lambda: p.aggregates)
         solves.append(report)
         r, next_weights = p.evaluate(u, want_policy=True)
         res = float(np.max(np.abs(r)))
@@ -998,7 +1093,7 @@ def solve_dirichlet(p, tol=1e-8, start=None, response=None):
     psi.values.ravel()[p.int_flat] = _solve_sparse(
         LinearSystem(B, p.ring_rhs(weights, psi.values), norm), grid.dim,
         lambda: p.order, linear=p.linear, report=record["response"],
-        precond=precond)
+        precond=precond, levels=lambda: p.aggregates)
     return grid, record, psi
 
 

@@ -221,6 +221,30 @@ def test_envelope_failure_is_numerical_error(tmp_path, monkeypatch):
     assert not (out / "manifest.json").exists()
 
 
+def test_fast_variable_operator_is_refused_before_any_solve(tmp_path,
+                                                           monkeypatch):
+    # homogenize has no effective operator for an operator that depends
+    # on the fast variable: a config error, raised before any strip or
+    # sandwich solve, and no manifest
+    from homogbc import corrector, effective, fdsolver
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_dirichlet called")
+
+    for module in (fdsolver, corrector, effective):
+        monkeypatch.setattr(module, "solve_dirichlet", no_solve)
+    code, out = _run(tmp_path, "homogenize", {
+        "domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 0.9},
+        "operator": {"kind": "linear", "lam": 1.0, "Lam": 3.0,
+                     "exprs": {"a11": "2 + sin(2*pi*y1)",
+                               "a22": "2 + cos(2*pi*y1)"}},
+        "g": "cos(2*pi*y1)*cos(2*pi*y2)", "period": [1.0, 1.0],
+        "eps_list": [0.1, 0.05], "delta": 0.1,
+    })
+    assert code == EXIT_CONFIG
+    assert not (out / "manifest.json").exists()
+
+
 def test_gbar_alpha_beyond_trace_range_exits_numerical(tmp_path, monkeypatch,
                                                        capsys):
     # a ray limit outside [-sup|g|, sup|g|] is a numerical failure with a

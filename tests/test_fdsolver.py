@@ -186,37 +186,99 @@ def test_dump_load_roundtrip(tmp_path):
 
 
 def test_krylov_failure_raises_without_direct_fallback(monkeypatch):
-    # a 3-d system above the 60,000-unknown switch goes to BiCGSTAB
-    # only: a Krylov failure is a SolveError, never a direct solve
+    # above the 60,000-unknown switch a 3-d policy goes to BiCGSTAB and
+    # a 2-d linear system to BiCGSTAB with the V-cycle, and nothing
+    # else: a Krylov failure is a SolveError, never a direct solve
     def no_direct(*args, **kwargs):
         raise AssertionError("direct solve called")
 
     monkeypatch.setattr(fdsolver.spla, "bicgstab",
                         lambda B, b, **kwargs: (np.zeros_like(b), 2000))
-    monkeypatch.setattr(fdsolver.spla, "splu", no_direct)
+    monkeypatch.setattr(fdsolver, "_Factor", no_direct)
     n = 60_001
     system = fdsolver.LinearSystem(
         fdsolver.sparse.identity(n, format="csr"), np.ones(n), 1.0)
-    with pytest.raises(SolveError, match="BiCGSTAB"):
-        fdsolver._solve_sparse(system, 3, no_direct, linear=True)
+    with pytest.raises(SolveError, match=r"BiCGSTAB \(bicgstab\) failed"):
+        fdsolver._solve_sparse(system, 3, no_direct,
+                               precond=fdsolver._Preconditioner())
+    with pytest.raises(SolveError, match=r"BiCGSTAB \(vcycle\) failed"):
+        fdsolver._solve_sparse(system, 2, no_direct, linear=True,
+                               levels=lambda: [np.arange(n) // 256])
 
 
-def test_large_2d_system_is_solved_directly(monkeypatch):
-    # every 2-d system takes the LU path, however large: unpreconditioned
-    # BiCGSTAB stalls on 2-d Laplace systems of this size
-    def no_krylov(*args, **kwargs):
-        raise AssertionError("BiCGSTAB called")
+# the 0.9-disk at h = 0.00625, the grid of the homogenize-disk
+# workload's eps = 0.05 solve: 65,097 unknowns, above the switch
+DISK65K = (DomainSpec.disk((0.0, 0.0), 0.9), 0.00625)
 
-    monkeypatch.setattr(fdsolver.spla, "bicgstab", no_krylov)
-    n = 400_001
-    system = fdsolver.LinearSystem(
-        fdsolver.sparse.identity(n, format="csr"), np.arange(n, dtype=float),
-        1.0)
+
+def test_large_2d_linear_system_takes_the_vcycle(monkeypatch):
+    # a linear 2-d system above the switch runs BiCGSTAB with the
+    # V-cycle: it never factors its matrix nor builds the order, and
+    # splu sees the coarsest level only; the field is the LU's
+    def refused(*args, **kwargs):
+        raise AssertionError("direct-path work on the V-cycle path")
+
+    sizes = []
+    splu = fdsolver.spla.splu
+
+    def coarsest(A, **kwargs):
+        sizes.append(A.shape[0])
+        return splu(A, **kwargs)
+
+    dom, h = DISK65K
+    p = discretize(laplacian(), dom, h, boundary=_harmonic,
+                   source=lambda x: np.ones(len(x)))
+    with monkeypatch.context() as m:
+        m.setattr(fdsolver, "_dissection", refused)
+        m.setattr(fdsolver, "_Factor", refused)
+        m.setattr(fdsolver.spla, "splu", coarsest)
+        u, rec = solve_dirichlet(p)
+    assert p.n_interior == 65_097 and "order" not in vars(p)
+    (solve,) = rec["solves"]
+    assert solve["path"] == "vcycle" and solve["fill"] is None
+    assert 0 < solve["krylov_iterations"] < 100
+    assert solve["target"] is None and solve["residual"] <= 1e-10
+    levels = solve["levels"]
+    assert levels[0] == p.n_interior and levels[-1] <= fdsolver.COARSEST
+    assert all(a > b for a, b in zip(levels, levels[1:]))
+    assert sizes == [levels[-1]]
+    system = p.assemble(p.evaluate(u.values.ravel(), want_policy=True)[1])
+    x = fdsolver._Factor(system.B, p.order).solve(system.b)
+    np.testing.assert_allclose(u.values.ravel()[p.int_flat], x, rtol=0.0,
+                               atol=1e-10 * np.max(np.abs(x)))
+
+
+def test_large_2d_policy_is_still_factored(monkeypatch):
+    # a nonlinear 2-d policy above the switch keeps the LU path: the
+    # first policy is factored, and the aggregates are never built
+    def refused(*args, **kwargs):
+        raise AssertionError("V-cycle work on a 2-d policy")
+
+    monkeypatch.setattr(fdsolver, "_VCycle", refused)
+    dom, h = DISK65K
+    p = discretize(pucci_plus(1.0, 2.0), dom, h, boundary=_harmonic)
+    u = np.zeros(p.grid.values.size)
     report = {}
-    x = fdsolver._solve_sparse(system, 2, lambda: np.arange(n), linear=True,
-                               report=report)
-    assert report["path"] == "direct" and report["krylov_iterations"] == 0
-    np.testing.assert_array_equal(x, np.arange(n, dtype=float))
+    fdsolver._solve_sparse(p.assemble(p.evaluate(u, want_policy=True)[1]),
+                           2, lambda: p.order,
+                           precond=fdsolver._Preconditioner(),
+                           levels=lambda: p.aggregates, report=report)
+    assert p.n_interior > fdsolver.KRYLOV_SWITCH
+    assert report["path"] == "direct" and report["fill"] > p.n_interior
+    assert report["levels"] is None and "aggregates" not in vars(p)
+
+
+def test_large_2d_linear_system_in_a_scope_is_factored():
+    # inside a factor_reuse scope a linear 2-d system above the switch
+    # keeps the LU, which serves the next solve by a back-solve
+    dom, h = DISK65K
+    p = discretize(laplacian(), dom, h, boundary=_harmonic)
+    with factor_reuse() as scope:
+        recs = [solve_dirichlet(p)[1] for _ in range(2)]
+        assert scope.counts() == {"factorizations": 1, "reused_solves": 1}
+    assert [s["path"] for r in recs for s in r["solves"]] == \
+        ["direct", "lu_reuse"]
+    assert "aggregates" not in vars(p)
 
 
 def test_linear_solve_above_tol_raises_at_the_floor():
@@ -305,7 +367,8 @@ def test_record_names_each_solve_path():
     # a linear problem factors once and back-solves in a scope; a 2-d
     # Pucci solve factors its first policy and preconditions later ones
     # by that LU, and every solve reports its path, Krylov count,
-    # checked residual, target and the fill of the LU it used
+    # checked residual, target and the fill of the LU it used, and no
+    # V-cycle levels
     p = discretize(laplacian(), RECT, 1 / 16, boundary=_harmonic)
     with factor_reuse():
         recs = [solve_dirichlet(p)[1] for _ in range(2)]
@@ -325,7 +388,7 @@ def test_record_names_each_solve_path():
         else:
             assert s["target"] is None
             assert 0.0 <= s["residual"] <= 1e-14
-        assert s["fill"] >= q.n_interior
+        assert s["fill"] >= q.n_interior and s["levels"] is None
     assert recs[0]["solves"][0]["fill"] == recs[1]["solves"][0]["fill"]
 
 
@@ -455,6 +518,42 @@ def test_direct_solve_under_dissection_matches_dense(dim, torus, seed):
     # relative to the solution's size: with a small delta a cell
     # solution reaches the hundreds
     np.testing.assert_allclose(x, dense, rtol=0.0,
+                               atol=1e-10 * max(1.0, np.max(np.abs(dense))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([2, 3]), flat=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_vcycle_solve_matches_dense(dim, flat, seed):
+    # BiCGSTAB with the V-cycle, switched on for small random masks
+    # with a coarsest level of 4 unknowns, on a Pucci+ policy matrix:
+    # at a flat iterate every node ties and takes the axis frame (a
+    # symmetric Laplace matrix), at a random one it is nonsymmetric;
+    # the dense solution, and the same bits twice
+    rng = np.random.default_rng(seed)
+    shape = tuple(rng.integers(3, 9 if dim == 3 else 17, size=dim))
+    interior = rng.random(shape) < rng.uniform(0.3, 1.0)
+    interior &= np.pad(np.ones([s - 2 for s in shape], bool), 1)
+    interior[(1,) * dim] = True
+    p = _masked_problem(pucci_plus(1.0, 2.5, dim), interior, rng)
+    u = np.zeros(p.grid.values.size) if flat else \
+        rng.uniform(-1.0, 1.0, p.grid.values.size)
+    system = p.assemble(p.evaluate(u, want_policy=True)[1])
+    runs, reports = [], []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fdsolver, "KRYLOV_SWITCH", 0)
+        m.setattr(fdsolver, "COARSEST", 4)
+        for _ in range(2):
+            reports.append({})
+            runs.append(fdsolver._solve_sparse(
+                system, dim, None, linear=True, levels=lambda: p.aggregates,
+                report=reports[-1]))
+    assert reports[0]["path"] == "vcycle"
+    assert reports[0]["levels"][-1] <= 4
+    assert len(reports[0]["levels"]) == len(p.aggregates) + 1
+    assert np.array_equal(runs[0], runs[1])
+    dense = np.linalg.solve(system.B.toarray(), system.b)
+    np.testing.assert_allclose(runs[0], dense, rtol=0.0,
                                atol=1e-10 * max(1.0, np.max(np.abs(dense))))
 
 
