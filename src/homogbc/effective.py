@@ -10,6 +10,7 @@ a compact subset.  Directions excluded from D_delta get a solved
 extremal bump correction added to the envelopes instead of a sample.
 """
 
+import collections
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -386,7 +387,7 @@ def build_envelopes(p, env):
     pts = np.array([sm["x"] for sm in samples])
     v_field = None
     v_sup_K = 0.0
-    bump_iterations = None
+    bump_iterations = bump_solver = None
     if env.excluded:
         bump_h = max(min(b["r"] for b in env.excluded) / 2.0,
                      p.domain.diameter / 256.0)
@@ -407,6 +408,7 @@ def build_envelopes(p, env):
         prob = discretize(ext, p.domain, bump_h, boundary=bump_data)
         v_field, bump_rec = solve_dirichlet(prob, tol=ENVELOPE_TOL)
         bump_iterations = bump_rec["iterations"]
+        bump_solver = _solver_summary(bump_rec["solves"])
         VX = v_field.coords()[v_field.mask == INTERIOR]
         on_K = p.domain.contains_scaled(VX, K_SCALE)
         if on_K.any():
@@ -441,8 +443,22 @@ def build_envelopes(p, env):
         "v_sup_K": v_sup_K,
         "n_excluded": len(env.excluded),
         "bump_iterations": bump_iterations,
+        "bump_solver": bump_solver,
     }
     return env
+
+
+def _solver_summary(solves):
+    """What the linear solves of a Howard record did: the count of each
+    path, the factorizations (every ``direct`` solve factors), the
+    Krylov iterations in all, and the V-cycle's unknowns per level."""
+    paths = collections.Counter(s["path"] for s in solves)
+    return {
+        "paths": dict(sorted(paths.items())),
+        "factorizations": paths["direct"],
+        "krylov_iterations": sum(s["krylov_iterations"] for s in solves),
+        "levels": next((s["levels"] for s in solves if s["levels"]), None),
+    }
 
 
 @dataclass

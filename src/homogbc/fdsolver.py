@@ -30,11 +30,20 @@ only when it first needs them; in 2-d a linear system inside a
 Howard is inexact (Dembo-Eisenstat-Steihaug forcing): each BiCGSTAB
 starts from the current iterate and stops at ETA times its nonlinear
 residual, and the loop accepts only after a full-accuracy solve.
-Below the Krylov switch the first policy is factored, and BiCGSTAB is
-preconditioned by the LU of the last factored policy; each
-factorization buys PRECOND_BUDGET iterations, after which the policy
-at hand is factored and solved exactly.  A linear problem assembles
-its matrix once.
+A 2-d sign-independent family (every member's two slopes one value:
+Pucci with lam = Lam, a Bellman family) runs each policy, at any size,
+by BiCGSTAB with a V-cycle of that policy's matrix, unless the solve
+asks for its linear response: under Pucci(1, 1) the frames tie to
+O(h^2), so the policy moves a little at each of many steps and an LU
+would serve few of them, while a corrector strip's response is one
+back-solve of the LU the loop holds.  A policy the cycle fails on, or
+leaves above tol at its floor, is factored.  Every other policy below
+the switch, 3-d sign-independent ones too, keeps the held LU: the
+first policy is factored, and BiCGSTAB is preconditioned by the LU of
+the last factored policy; each factorization buys PRECOND_BUDGET
+iterations, after which the policy at hand is factored and solved
+exactly.  A 3-d policy above the switch runs plain BiCGSTAB.  A linear
+problem assembles its matrix once.
 Inside a ``factor_reuse`` scope the sparse LU of the last linear
 system is kept, and a later linear system with the same matrix is
 served by a back-solve.
@@ -354,11 +363,18 @@ class DiscreteProblem:
         return self.evaluate(u_flat, want_policy=False)[0]
 
     @functools.cached_property
+    def sign_independent(self):
+        """Every member's two slopes are one value (``_family`` emits
+        one object for both): Pucci with lam = Lam, a linear operator or
+        a Bellman family.  Its 2-d Howard policies take the V-cycle."""
+        return all(up is down for mem in self.members
+                   for up, down in mem.values())
+
+    @functools.cached_property
     def linear(self):
-        """One member whose slopes do not depend on the sign: the
-        assembled matrix does not depend on the iterate."""
-        return len(self.members) == 1 and all(
-            up is down for up, down in self.members[0].values())
+        """One sign-independent member: the assembled matrix does not
+        depend on the iterate."""
+        return len(self.members) == 1 and self.sign_independent
 
     @functools.cached_property
     def _arms(self):
@@ -575,13 +591,17 @@ def _family(op, frames, stencil_order, y_nodes, where):
     sum_d c_d(Delta_d) Delta_d, each member mapping a direction to its
     slopes (for Delta_d >= 0, for Delta_d < 0).
 
-    Pucci operators have one member per frame; linear and Bellman
-    members carry one weight array for both signs.  ``y_nodes()`` gives
-    the fast-variable points of the interior nodes.
+    Pucci operators have one member per frame, with one slope object
+    for both signs when lam == Lam; linear and Bellman members carry
+    one weight array for both signs.  ``y_nodes()`` gives the
+    fast-variable points of the interior nodes.
     """
     if op.kind in ("pucci_plus", "pucci_minus"):
         plus = op.kind == "pucci_plus"
-        slopes = (op.Lam, op.lam) if plus else (op.lam, op.Lam)
+        # lam == Lam gives one object for both signs, whatever objects
+        # the two floats are: sign independence is read by identity
+        slopes = (op.lam, op.lam) if op.lam == op.Lam else \
+            (op.Lam, op.lam) if plus else (op.lam, op.Lam)
         return [{d: slopes for d in f} for f in frames], \
             ("sup" if plus else "inf")
     linear = [op] if op.kind == "linear" else list(op.members)
@@ -794,7 +814,8 @@ class _Preconditioner:
 # systems of more unknowns take BiCGSTAB: every one in 3-d, and in 2-d a
 # linear one outside a factor_reuse scope (inside one, the LU serves
 # every later solve by a back-solve: 96 V-cycle solves of criterion 8's
-# 98,304-unknown Laplace strips took 25 s against 10 s)
+# 98,304-unknown Laplace strips took 25 s against 10 s).  A 2-d sign-
+# independent policy takes the V-cycle below it too
 KRYLOV_SWITCH = 60_000
 # the V-cycle coarsens down to at most this many unknowns, which splu
 # solves, and smooths by one damped-Jacobi sweep of this weight before
@@ -853,25 +874,30 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
     called only when B is factored, so the Krylov path never builds
     it.  A ``linear`` system (its matrix does not depend on the
     iterate) solved directly inside a ``factor_reuse`` scope goes
-    through the scope's retained LU.  Above the Krylov switch, more
-    than KRYLOV_SWITCH unknowns, a linear system takes BiCGSTAB
-    preconditioned by the plain-aggregation V-cycle of B (``_VCycle``
-    over the aggregates ``levels()``, called only there) in 3-d, and
-    in 2-d outside a ``factor_reuse`` scope; a 3-d nonlinear policy
-    takes plain BiCGSTAB; either starts from ``x0`` if given, and a
-    Krylov failure raises SolveError rather than falling back to a
-    direct solve of the same size.  Every other 2-d system takes the
-    LU path.  A ``target`` above the full-accuracy floor 1e-12 ||b||_2
-    makes a Krylov solve inexact: BiCGSTAB stops once ||Bx - b||_2 <
-    target; without one it runs to rtol 1e-12 (VCYCLE_RTOL with the
-    V-cycle).  Off the Krylov path the same holds when ``precond`` (a
-    ``_Preconditioner``) holds an LU with budget left:
-    BiCGSTAB from ``x0``, preconditioned by that LU, runs at most the
-    remaining budget (with B's own LU it stops at its first half step:
-    one back-solve).  When the budget runs out short of the stopping
-    test, or a full-accuracy result fails its check, B is factored (by
-    ``precond`` if given, which then holds that LU) and the solve is
-    direct.
+    through the scope's retained LU.  BiCGSTAB preconditioned by the
+    plain-aggregation V-cycle of B (``_VCycle`` over the aggregates
+    ``levels()``, called only there) serves a linear system above the
+    Krylov switch, more than KRYLOV_SWITCH unknowns, in 3-d, and in
+    2-d outside a ``factor_reuse`` scope; and a 2-d nonlinear system
+    given no ``precond``, at any size (``solve_dirichlet`` gives none
+    to a 2-d sign-independent problem whose solve asks for no
+    response).  A 3-d nonlinear
+    system above the switch takes plain BiCGSTAB.  Either Krylov path
+    starts from ``x0`` if given.  A Krylov failure of a linear or 3-d
+    system raises SolveError rather than falling back to a direct
+    solve of the same size; a 2-d nonlinear system, which the LU path
+    served at any size, is factored instead, as below.  Every other
+    system takes the LU path.  A ``target`` above the full-accuracy
+    floor 1e-12 ||b||_2 makes a Krylov solve inexact: BiCGSTAB stops
+    once ||Bx - b||_2 < target; without one it runs to rtol 1e-12
+    (VCYCLE_RTOL with the V-cycle).  Off the Krylov path the same
+    holds when ``precond`` (a ``_Preconditioner``) holds an LU with
+    budget left: BiCGSTAB from ``x0``, preconditioned by that LU, runs
+    at most the remaining budget (with B's own LU it stops at its first
+    half step: one back-solve).  When the budget runs out short of the
+    stopping test, BiCGSTAB breaks down, or a full-accuracy result
+    fails its check, B is factored (by ``precond`` if given, which then
+    holds that LU) and the solve is direct.
     The true residual of an inexact x is checked against its target.
     Every other x is checked by its normwise backward error
     ||Bx - b|| / (||B|| ||x|| + ||b||) in the max norm against
@@ -890,8 +916,10 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
     n = B.shape[0]
     krylov = 0
     fill = sizes = None
-    on_krylov = n > KRYLOV_SWITCH and (
-        dim >= 3 or linear and _scope is None)
+    large = n > KRYLOV_SWITCH
+    cycled = large and (dim >= 3 or _scope is None) if linear else \
+        precond is None and dim == 2
+    on_krylov = cycled or large and dim >= 3
     if target is not None and target <= 1e-12 * np.linalg.norm(b):
         target = None  # the full-accuracy floor
 
@@ -906,7 +934,7 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
     if on_krylov or preconditioned:
         applied = 0
         cycle = None
-        if on_krylov and linear:
+        if cycled:
             cycle = _VCycle(B, levels())
             sizes = cycle.sizes
 
@@ -931,6 +959,7 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
         if preconditioned:
             precond.budget -= krylov
             fill = precond.lu.fill
+        if preconditioned or cycled and not linear:
             if info != 0 or target is None and \
                     not backward_error(x) <= RESIDUAL_CHECK:
                 x = None  # budget spent, breakdown or check failed
@@ -997,17 +1026,23 @@ def solve_dirichlet(p, tol=1e-8, start=None, response=None):
     k starts from the iterate u_k and stops at ETA ||r_k||_2, r_k =
     F_h(u_k) - f being both the nonlinear residual and that solve's
     initial linear residual.  A 3-d policy above the switch is solved
-    by plain BiCGSTAB.  Otherwise the first policy is factored and
-    solved exactly; a later one runs BiCGSTAB preconditioned by the LU
-    of the last factored policy, within that LU's budget of
-    PRECOND_BUDGET iterations, and is factored and solved exactly
-    once the budget runs out.  The loop accepts or stops only after a
-    full-accuracy solve, so a policy that repeats after an inexact
-    solve is solved again at full accuracy (and a linear problem, with
-    its one policy, is solved at full accuracy at once, by BiCGSTAB
-    with the V-cycle above the switch); off the Krylov path that solve,
-    too, runs preconditioned while budget is left, and a policy that
-    repeats after it above tol is factored.
+    by plain BiCGSTAB.  A 2-d policy of a sign-independent problem
+    (``p.sign_independent``) in a solve that asks for no ``response``
+    runs BiCGSTAB preconditioned by a V-cycle of its own matrix; it is
+    factored only if that solve fails, or if it repeats after a
+    full-accuracy solve above tol (the cycle's floor), whose LU the
+    loop then holds for its later policies.  Otherwise the
+    first policy is factored and solved exactly; a later one runs
+    BiCGSTAB preconditioned by the LU of the last factored policy,
+    within that LU's budget of PRECOND_BUDGET iterations, and is
+    factored and solved exactly once the budget runs out.  The loop
+    accepts or stops only after a full-accuracy solve, so a policy that
+    repeats after an inexact solve is solved again at full accuracy
+    (and a linear problem, with its one policy, is solved at full
+    accuracy at once, by BiCGSTAB with the V-cycle above the switch);
+    on the held-LU path that solve, too, runs preconditioned while
+    budget is left, and a policy that repeats after it above tol is
+    factored.
 
     ``response``, a boolean grid array marking ring nodes, asks for
     the linear response to the value on those nodes: psi solves
@@ -1041,7 +1076,8 @@ def solve_dirichlet(p, tol=1e-8, start=None, response=None):
     # one extremum per iterate: its F gives the residual and its
     # policy the next linear system
     r, weights = p.evaluate(u, want_policy=True)
-    precond = None if p.linear else _Preconditioner()
+    precond = None if p.linear or p.sign_independent and grid.dim == 2 \
+        and response is None else _Preconditioner()
     for _ in range(MAX_POLICIES):
         report = {}
         u[p.int_flat] = _solve_sparse(
@@ -1059,12 +1095,18 @@ def solve_dirichlet(p, tol=1e-8, start=None, response=None):
                 converged = True
                 break
             if repeat:
-                if report["path"] != "lu_precond":
+                if report["path"] == "vcycle" and not p.linear:
+                    # the floor of the V-cycle, whose stopping test is
+                    # relative to ||b||: factor this policy, and hold
+                    # its LU for the rest
+                    precond = _Preconditioner()
+                elif report["path"] != "lu_precond":
                     # policy fixed point at the linear-solver floor
                     break
-                # the floor of BiCGSTAB on an older policy's LU, not
-                # this policy's: factor it
-                precond.budget = 0
+                else:
+                    # the floor of BiCGSTAB on an older policy's LU,
+                    # not this policy's: factor it
+                    precond.budget = 0
         # a policy that repeats is solved again at full accuracy before
         # the loop accepts or stops
         exact = repeat

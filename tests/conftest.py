@@ -253,13 +253,13 @@ def criteria():
 @pytest.fixture
 def diag_bellman():
     """Bellman sup/inf over the linear members diag(a1, a2), a_i in
-    {lam, Lam} = {1, 2}: the same operator as Pucci+/- on diagonal
-    Hessians."""
-    def make(mode):
+    {lam, Lam} (by default {1, 2}): the same operator as Pucci+/- on
+    diagonal Hessians."""
+    def make(mode, lam=1.0, Lam=2.0):
         members = tuple(
-            linear_operator({"a11": str(a1), "a22": str(a2)}, 1.0, 2.0)
-            for a1, a2 in itertools.product((1.0, 2.0), repeat=2))
-        return EllipticOperatorSpec("bellman", 1.0, 2.0, 2, members=members,
+            linear_operator({"a11": str(a1), "a22": str(a2)}, lam, Lam)
+            for a1, a2 in itertools.product((lam, Lam), repeat=2))
+        return EllipticOperatorSpec("bellman", lam, Lam, 2, members=members,
                                     mode=mode)
     return make
 

@@ -89,6 +89,19 @@ def test_correction_reports_bump_iterations(sampled_env):
     assert isinstance(c["bump_iterations"], int) and c["bump_iterations"] > 1
 
 
+def test_correction_reports_the_bump_solver(sampled_env):
+    # under the Laplacian the bump is Pucci+(1, 1), whose policies do
+    # not depend on the sign: every one runs BiCGSTAB with its own
+    # V-cycle, and the correction says so without a factorization
+    c = sampled_env.correction["bump_solver"]
+    assert c["paths"] == {"vcycle": sampled_env.correction["bump_iterations"]}
+    assert c["factorizations"] == 0
+    assert c["krylov_iterations"] >= c["paths"]["vcycle"]
+    levels = c["levels"]
+    assert len(levels) > 1 and levels[-1] <= fdsolver.COARSEST
+    assert all(a > b for a, b in zip(levels, levels[1:]))
+
+
 def test_envelope_covers_sampled_gbar(sampled_env):
     env = sampled_env
     for s in env.samples:

@@ -426,7 +426,8 @@ def test_pruned_assembly_is_the_chosen_stencil(dim, order, pucci, cells,
     arms = sum((w > 0).astype(int) for w in weights.values())
     assert np.all(arms <= dim)
     assert np.all(np.diff(A.indptr) <= 1 + 2 * arms)
-    x = fdsolver._solve_sparse(system, dim, lambda: p.order)
+    x = fdsolver._solve_sparse(system, dim, lambda: p.order,
+                               precond=fdsolver._Preconditioner())
     np.testing.assert_allclose(x, np.linalg.solve(B, system.b),
                                rtol=0.0, atol=1e-10)
 
@@ -513,7 +514,8 @@ def test_direct_solve_under_dissection_matches_dense(dim, torus, seed):
         p = _masked_problem(op, interior, rng)
     u = rng.uniform(-1.0, 1.0, p.grid.values.size)
     system = p.assemble(p.evaluate(u, want_policy=True)[1])
-    x = fdsolver._solve_sparse(system, dim, lambda: p.order)
+    x = fdsolver._solve_sparse(system, dim, lambda: p.order,
+                               precond=fdsolver._Preconditioner())
     dense = np.linalg.solve(system.B.toarray(), system.b)
     # relative to the solution's size: with a small delta a cell
     # solution reaches the hundreds
@@ -630,17 +632,22 @@ def test_pucci_solutions_bracket_linear(dim, lam, ratio, mids, cells, f,
     assert np.all(fields[1] <= fields[2] + slack)
 
 
+def _cap_bump(x):
+    # 1 at the top of the 0.26-ball, 0 beyond 0.03 from it
+    d = np.linalg.norm(np.atleast_2d(x) - np.array([0.0, 0.0, 0.26]),
+                       axis=-1)
+    return np.clip(1.0 - d / 0.03, 0.0, 1.0)
+
+
+def _bump3d(op, h):
+    return discretize(op, DomainSpec.disk((0.0, 0.0, 0.0), 0.26), h,
+                      boundary=_cap_bump)
+
+
 @pytest.fixture(scope="module")
 def bump3d():
     # a 3-d Pucci+ bump on 73,447 unknowns, above the 60,000 switch
-    z = np.array([0.0, 0.0, 0.26])
-
-    def bump(x):
-        d = np.linalg.norm(np.atleast_2d(x) - z, axis=-1)
-        return np.clip(1.0 - d / 0.03, 0.0, 1.0)
-
-    p = discretize(pucci_plus(1.0, 1.5, 3), DomainSpec.disk(
-        (0.0, 0.0, 0.0), 0.26), 0.01, boundary=bump)
+    p = _bump3d(pucci_plus(1.0, 1.5, 3), 0.01)
     assert p.n_interior > 60_000
     return p
 
@@ -754,18 +761,23 @@ def test_krylov_problem_never_builds_the_order(monkeypatch, bump3d):
                for s in rec["solves"])
 
 
+def _disk_bump(x):
+    # 1 on a ball at the edge of the 0.9-disk, 0 beyond twice its radius
+    z = 0.9 * np.array([math.cos(0.7), math.sin(0.7)])
+    d = np.linalg.norm(np.atleast_2d(x) - z, axis=-1)
+    return np.clip(2.0 - 2.0 * d / 0.1, 0.0, 1.0)
+
+
+def _bump2d(op, stencil_order=2):
+    # the envelope's extremal bump in small, under ``op``
+    return discretize(op, DomainSpec.disk((0.0, 0.0), 0.9), 1 / 48,
+                      stencil_order=stencil_order, boundary=_disk_bump)
+
+
 @pytest.fixture(scope="module")
 def bump2d():
-    # the envelope's extremal bump in small: Pucci+(1, 1) on a disk,
-    # 1 on a boundary ball and 0 beyond twice its radius
-    z = 0.9 * np.array([math.cos(0.7), math.sin(0.7)])
-
-    def bump(x):
-        d = np.linalg.norm(np.atleast_2d(x) - z, axis=-1)
-        return np.clip(2.0 - 2.0 * d / 0.1, 0.0, 1.0)
-
-    return discretize(pucci_plus(1.0, 1.0), DomainSpec.disk(
-        (0.0, 0.0), 0.9), 1 / 48, boundary=bump)
+    # Pucci+(1, 2) is sign-dependent, so its policies take the held LU
+    return _bump2d(pucci_plus(1.0, 2.0))
 
 
 def _factorizations(rec):
@@ -933,6 +945,158 @@ def test_spent_budget_drops_the_lu_before_factoring(monkeypatch, bump2d):
     assert rec["converged"] and _within_targets(rec)
     del u
     assert not [r for r in live if r() is not None]
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("LU work on a sign-independent policy")
+
+
+@pytest.mark.parametrize("kind", ["pucci_plus", "pucci_minus", "bellman"])
+def test_sign_independent_policies_take_the_vcycle(monkeypatch,
+                                                   diag_bellman, kind):
+    # every member of Pucci+/-(1, 1) and of a Bellman family has one
+    # slope for both signs: each 2-d Howard policy runs BiCGSTAB with a
+    # V-cycle of its own matrix, and nothing is factored or ordered
+    op = {"pucci_plus": pucci_plus(1.0, 1.0),
+          "pucci_minus": pucci_minus(1.0, 1.0),
+          "bellman": diag_bellman("sup")}[kind]
+    p = _bump2d(op)
+    monkeypatch.setattr(fdsolver, "_Factor", _refused)
+    monkeypatch.setattr(fdsolver, "_dissection", _refused)
+    _, rec = solve_dirichlet(p)
+    assert p.sign_independent and not p.linear
+    assert rec["converged"] and rec["iterations"] > 1
+    for s in rec["solves"]:
+        assert s["path"] == "vcycle" and s["fill"] is None
+        assert s["levels"][0] == p.n_interior
+        assert s["levels"][-1] <= fdsolver.COARSEST
+    assert _within_targets(rec) and rec["solves"][-1]["target"] is None
+    assert "order" not in vars(p)
+
+
+@pytest.mark.parametrize("kind", ["pucci_plus", "anisotropic_bellman"])
+def test_vcycle_howard_matches_a_factored_solve(monkeypatch, diag_bellman,
+                                                kind):
+    # the route changes the linear solver, not the discrete problem:
+    # the field is within 2 C tol of a Howard solve that factors every
+    # policy (sign independence forced off, no preconditioned budget),
+    # also for a Bellman family of diag(a1, a2), a_i in {1, 100}
+    tol = 1e-8
+    op = pucci_plus(1.0, 1.0) if kind == "pucci_plus" else \
+        diag_bellman("sup", 1.0, 100.0)
+    cycled, rec = solve_dirichlet(_bump2d(op), tol=tol)
+    monkeypatch.setattr(fdsolver.DiscreteProblem, "sign_independent",
+                        property(lambda self: False))
+    monkeypatch.setattr(fdsolver, "PRECOND_BUDGET", 0)
+    factored, ref = solve_dirichlet(_bump2d(op), tol=tol)
+    assert {s["path"] for s in rec["solves"]} == {"vcycle"}
+    assert all(s["path"] == "direct" for s in ref["solves"])
+    for r in (rec, ref):
+        assert r["converged"] and r["residual_history"][-1] <= tol
+    # C = diam^2 / (2 lam), the comparison constant
+    C = 1.8 ** 2 / 2.0
+    assert np.max(np.abs(cycled.values - factored.values)) <= 2 * C * tol
+
+
+def test_sign_dependent_policies_keep_the_lu(monkeypatch, bump2d):
+    # Pucci+(1, 2) has two slopes: its 2-d policies keep the held LU
+    # and never build the aggregates
+    def refused(*args, **kwargs):
+        raise AssertionError("V-cycle work on a sign-dependent policy")
+
+    monkeypatch.setattr(fdsolver, "_VCycle", refused)
+    _, rec = solve_dirichlet(bump2d)
+    assert not bump2d.sign_independent
+    assert {s["path"] for s in rec["solves"]} == {"direct", "lu_precond"}
+    assert "aggregates" not in vars(bump2d)
+
+
+def test_sign_independent_solve_asking_for_its_response_keeps_the_lu(
+        monkeypatch):
+    # a corrector strip asks for its linear response, one back-solve of
+    # the accepted policy's LU: such a solve keeps the held LU
+    def refused(*args, **kwargs):
+        raise AssertionError("V-cycle work on a solve with a response")
+
+    monkeypatch.setattr(fdsolver, "_VCycle", refused)
+    p = _bump2d(pucci_plus(1.0, 1.0))
+    top = (p.grid.mask == fdsolver.BOUNDARY) & (p.grid.coords()[..., 1] > 0)
+    _, rec, psi = solve_dirichlet(p, response=top)
+    assert p.sign_independent and rec["converged"]
+    assert {s["path"] for s in rec["solves"]} == {"direct", "lu_precond"}
+    assert rec["response"]["path"] in ("direct", "lu_precond")
+    assert rec["response"]["residual"] <= 1e-10
+    assert "aggregates" not in vars(p)
+
+
+def test_3d_sign_independent_policies_keep_their_paths(monkeypatch):
+    # the V-cycle route is 2-d only: a 3-d Pucci+(1, 1) policy keeps
+    # the held LU below the Krylov switch and plain BiCGSTAB above it
+    def refused(*args, **kwargs):
+        raise AssertionError("V-cycle work on a 3-d policy")
+
+    monkeypatch.setattr(fdsolver, "_VCycle", refused)
+    for h, paths in ((0.02, {"direct", "lu_precond"}), (0.01, {"bicgstab"})):
+        p = _bump3d(pucci_plus(1.0, 1.0, 3), h)
+        assert p.sign_independent and not p.linear and \
+            (p.n_interior > fdsolver.KRYLOV_SWITCH) == (h == 0.01)
+        _, rec = solve_dirichlet(p)
+        assert rec["converged"] and rec["iterations"] > 1
+        assert {s["path"] for s in rec["solves"]} == paths
+        assert _within_targets(rec)
+
+
+def test_vcycle_floor_hands_the_policy_to_the_lu():
+    # the V-cycle's full-accuracy test is relative to ||b||, which ring
+    # data of 1e4 lifts above tol: the policy that repeats at that
+    # floor is factored, and the solve finishes on the held LU
+    p = discretize(pucci_plus(1.0, 1.0), DomainSpec.disk((0.0, 0.0), 0.9),
+                   1 / 48, boundary=lambda x: 1e4 * _disk_bump(x))
+    _, rec = solve_dirichlet(p)
+    paths = [s["path"] for s in rec["solves"]]
+    k = paths.index("direct")
+    assert k > 0 and set(paths[:k]) == {"vcycle"}
+    assert set(paths[k:]) <= {"direct", "lu_precond"}
+    assert rec["solves"][k - 1]["target"] is None
+    assert rec["converged"] and _within_targets(rec)
+
+
+def test_vcycle_breakdown_factors_the_policy(monkeypatch):
+    # a small 2-d policy keeps the direct fallback on the V-cycle path:
+    # a BiCGSTAB failure factors the policy instead of raising
+    bicgstab = fdsolver.spla.bicgstab
+    failed = []
+
+    def failing(B, b, **kwargs):
+        x, info = bicgstab(B, b, **kwargs)
+        if len(failed) < 2:
+            failed.append(info)
+            return x, 2000
+        return x, info
+
+    monkeypatch.setattr(fdsolver.spla, "bicgstab", failing)
+    _, rec = solve_dirichlet(_bump2d(pucci_plus(1.0, 1.0)))
+    paths = [s["path"] for s in rec["solves"]]
+    assert paths[:2] == ["direct", "direct"] and "vcycle" in paths
+    assert rec["converged"] and _within_targets(rec)
+
+
+def test_sign_independence_is_read_by_value():
+    # lam == Lam as two float objects, as a JSON config reads them, is
+    # the operator that one float twice gives: the same solve paths and
+    # a bitwise-equal field; with one frame it is linear
+    ops = pucci_plus(1.0, 1.0), pucci_plus(1.0, float("1.0"))
+    assert ops[1].Lam is not ops[1].lam
+    fields, paths = [], []
+    for op in ops:
+        p = _bump2d(op)
+        assert p.sign_independent
+        u, rec = solve_dirichlet(p)
+        fields.append(u.values)
+        paths.append([s["path"] for s in rec["solves"]])
+        assert _bump2d(op, stencil_order=1).linear
+    assert paths[0] == paths[1]
+    np.testing.assert_array_equal(fields[0], fields[1])
 
 
 @settings(max_examples=80, deadline=None)
