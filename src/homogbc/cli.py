@@ -4,8 +4,10 @@ Every subcommand reads a JSON config, writes its outputs plus a run
 manifest (config echo, versions, wall time) into the output directory,
 and exits 0 on success, 2 on config errors, 3 on numerical failures,
 and 4 when a computed verdict is false.  ``--output-dir`` is the only
-way to set the output directory (default: the current one).  The same
-config gives byte-identical numeric outputs.
+way to set the output directory (default: the current one).  Reruns
+of one config on one machine with the same number of BLAS threads give
+byte-identical numeric outputs; another thread count may move the last
+bits of a Krylov solve.
 """
 
 import argparse

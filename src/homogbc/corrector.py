@@ -6,21 +6,25 @@ w = g(x0, .) on the hyperplane.  The artifact truncates to a strip of
 height T and width L in rotated coordinates xi (last axis along nu):
 bottom carries the exact trace, lateral faces the constant-in-height
 extension of their bottom foot, and the top the running mean of the
-bottom trace (refined once from a first ray-limit estimate).  The strip
-is discretized once and solved twice; the two solves differ only in the
-top-face values, and the second starts from the first's field.  Under a
-nonlinear operator the first solve also returns the field's linear
-response to the top value, so the second starts from the first's field
-moved by that response.  The lateral truncation error is certified by
-the explicit quadratic barrier.
+bottom trace (refined once from a first ray-limit estimate).  Each
+strip is solved twice on one discrete problem; the two solves differ
+only in the top-face values, and the second starts from the first's
+field.  Under a nonlinear operator the first solve also returns the
+field's linear response to the top value, so the second starts from
+the first's field moved by that response.  The lateral truncation
+error is certified by the explicit quadratic barrier.
 
 Ray limits alpha_eps are read as the window average at t* = 3T/4 with
 error bar W_{t*} + truncation bound + solver tolerance; the estimator
 aggregates them into the one-sided effective data gbar_star/gbar_lower
-and their equality verdict.  Under a linear operator the strips of one
-normal share their matrix across epsilons and passes; the estimator
-runs them in one ``fdsolver.factor_reuse`` scope, so that matrix is
-factored once.
+and their equality verdict.  The estimator runs its strips in one
+``fdsolver.factor_reuse`` scope.  Under a rotation-invariant operator
+that does not depend on y (Pucci, a constant isotropic linear operator)
+every strip of the scope with the same T, L and h is one discrete
+problem with other ring values, so it is discretized once per scope,
+not once per strip.  Under a linear operator the strips of one normal
+(of every normal, for such an operator) share their matrix across
+epsilons and passes, so that matrix is factored once.
 """
 
 import itertools
@@ -155,18 +159,31 @@ def _strip_problem(p):
 
     Every ring node carries the bottom trace at its foot (bottom and
     lateral faces share it); the caller sets the top-face values before
-    each solve.
+    each solve.  When the rotated operator is the operator itself and
+    does not depend on y (Pucci, a constant isotropic linear operator),
+    the problem depends on the strip only through its ring values: a
+    ``factor_reuse`` scope then holds it under (operator, T, L, h,
+    dim), and a later strip with that key resets its ring values.
     """
     n = p.Q.shape[0]
-    lo = np.array([-p.L / 2.0] * (n - 1) + [0.0])
-    hi = np.array([p.L / 2.0] * (n - 1) + [p.T])
-    dom = DomainSpec.rectangle(lo, hi)
-    prob = discretize(p.op.rotated(p.Q), dom, p.h, stencil_order=2,
-                      boundary=lambda pts: p.bottom_trace(pts[..., :-1]),
-                      y_of_x=p.y_of_xi)
-    grid = prob.grid
-    top = (grid.mask == fdsolver.BOUNDARY) & \
-        (grid.coords()[..., -1] >= p.T - p.h / 2.0)
+    op = p.op.rotated(p.Q)
+    key = (op, p.T, p.L, p.h, n) \
+        if op is p.op and not op.y_dependent else None
+
+    def build():
+        lo = np.array([-p.L / 2.0] * (n - 1) + [0.0])
+        hi = np.array([p.L / 2.0] * (n - 1) + [p.T])
+        dom = DomainSpec.rectangle(lo, hi)
+        prob = discretize(op, dom, p.h, stencil_order=2, y_of_x=p.y_of_xi)
+        grid = prob.grid
+        ring = grid.mask == fdsolver.BOUNDARY
+        coords = grid.coords()
+        top = ring & (coords[..., -1] >= p.T - p.h / 2.0)
+        feet = np.asarray(dom.project(coords[ring]), dtype=float)[..., :-1]
+        return prob, top, ring, feet
+
+    prob, top, ring, feet = fdsolver.scoped_problem(key, build)
+    prob.grid.values[ring] = p.bottom_trace(feet)
     return prob, top
 
 
@@ -215,12 +232,13 @@ def trace_oscillation(p):
 def solve_corrector(p, tol=1e-8):
     """Solve the strip problem and measure the oscillation profile.
 
-    The strip is discretized once and solved twice: the top Dirichlet
-    value starts as the mean of the bottom trace and is refined once
-    from a first ray-limit readout; the two solves differ only in the
-    top-face values.  The second starts from the first's field; under
-    a nonlinear operator, plus the first's linear response psi to the
-    top value times the change in that value.
+    The strip is solved twice on one discrete problem (see
+    ``_strip_problem``): the top Dirichlet value starts as the mean of
+    the bottom trace and is refined once from a first ray-limit
+    readout; the two solves differ only in the top-face values.  The
+    second starts from the first's field; under a nonlinear operator,
+    plus the first's linear response psi to the top value times the
+    change in that value.
 
     Returns a CorrectorSolution.
     """

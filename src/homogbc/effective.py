@@ -254,8 +254,9 @@ def sample_gbar_on_boundary(p, n_points, eps_list, delta, T=4.0, L=None,
     failures are recorded in the notes list, not raised.  ``reuse`` may
     carry a previous envelope whose samples (which do not depend on
     delta) are reused at matching arclengths.  The points share one
-    ``factor_reuse`` scope; its counts of factorizations and reused
-    solves go to ``env.factor_reuse``.  ``env.g_sup``, the ||g|| of the
+    ``factor_reuse`` scope; its counts of factorizations, reused
+    solves, and strip problems built and reused go to
+    ``env.factor_reuse``.  ``env.g_sup``, the ||g|| of the
     envelopes, is the largest sup_y |g(x, y)| over the sampled points x.
     """
     if L is None:

@@ -46,7 +46,8 @@ exactly.  A 3-d policy above the switch runs plain BiCGSTAB.  A linear
 problem assembles its matrix once.
 Inside a ``factor_reuse`` scope the sparse LU of the last linear
 system is kept, and a later linear system with the same matrix is
-served by a back-solve.
+served by a back-solve; the scope also holds the last problem built
+by ``scoped_problem``, which a later caller with an equal key reuses.
 """
 
 import contextlib
@@ -64,7 +65,7 @@ __all__ = [
     "GridField", "DiscreteProblem", "LinearSystem", "CertificateError",
     "SolveError",
     "frames_for", "monotone_weights", "discretize", "discretize_cell",
-    "solve_dirichlet", "factor_reuse",
+    "solve_dirichlet", "factor_reuse", "scoped_problem",
     "comparison_check",
 ]
 
@@ -743,13 +744,17 @@ class _Factor:
 
 
 class FactorScope:
-    """The one retained LU of a ``factor_reuse`` scope and its counts."""
+    """The one retained LU of a ``factor_reuse`` scope, its one held
+    problem (see ``scoped_problem``) and their counts."""
 
     def __init__(self):
         self.matrix = None
         self.lu = None
         self.factorizations = 0
         self.reused_solves = 0
+        self.problem_key = self.problem = None
+        self.problems_built = 0
+        self.problems_reused = 0
 
     def factor(self, B, order):
         """The retained LU when the CSR ``B`` is its matrix (the same
@@ -765,9 +770,25 @@ class FactorScope:
             self.factorizations += 1
         return self.lu
 
+    def held_problem(self, key, build):
+        """The held problem when ``key`` equals its key; otherwise drop
+        it, call ``build()`` and hold the result under ``key``, unless
+        ``key`` is None."""
+        if key is not None and key == self.problem_key:
+            self.problems_reused += 1
+            return self.problem
+        self.problem_key = self.problem = None
+        problem = build()
+        self.problems_built += 1
+        if key is not None:
+            self.problem_key, self.problem = key, problem
+        return problem
+
     def counts(self):
         return {"factorizations": self.factorizations,
-                "reused_solves": self.reused_solves}
+                "reused_solves": self.reused_solves,
+                "problems_built": self.problems_built,
+                "problems_reused": self.problems_reused}
 
 
 _scope = None
@@ -777,9 +798,10 @@ _scope = None
 def factor_reuse():
     """Keep the sparse LU of the last linear system for the next solve.
 
-    Yields the ``FactorScope``; a nested scope joins the outer one.
-    Leaving the outermost scope, by an exception too, frees the factor,
-    so no factor outlives the loop that reuses it.
+    Yields the ``FactorScope``, which also holds the last problem
+    ``scoped_problem`` built; a nested scope joins the outer one.
+    Leaving the outermost scope, by an exception too, frees the factor
+    and the problem, so neither outlives the loop that reuses it.
     """
     global _scope
     if _scope is not None:
@@ -790,7 +812,22 @@ def factor_reuse():
         yield _scope
     finally:
         _scope.matrix = _scope.lu = None
+        _scope.problem_key = _scope.problem = None
         _scope = None
+
+
+def scoped_problem(key, build):
+    """``build()``, or inside a ``factor_reuse`` scope the problem the
+    scope holds under an equal ``key``.
+
+    The scope holds one problem at a time, the last one built under a
+    key that is not None, and counts every problem built and reused
+    inside it.  A caller that reuses a problem resets what differs
+    (its ring values, say); the grid, neighbour tables, cached arms,
+    elimination order and a linear problem's assembled matrix carry
+    over, so that matrix meets the scope's LU as the same object.
+    """
+    return build() if _scope is None else _scope.held_problem(key, build)
 
 
 class _Preconditioner:
@@ -1074,8 +1111,12 @@ def solve_dirichlet(p, tol=1e-8, start=None, response=None):
     converged = False
     exact = p.linear
     # one extremum per iterate: its F gives the residual and its
-    # policy the next linear system
-    r, weights = p.evaluate(u, want_policy=True)
+    # policy the next linear system.  A linear problem's one policy is
+    # its member, and its first solve is exact, so it needs no residual
+    if p.linear:
+        r, weights = None, {d: up for d, (up, _) in p.members[0].items()}
+    else:
+        r, weights = p.evaluate(u, want_policy=True)
     precond = None if p.linear or p.sign_independent and grid.dim == 2 \
         and response is None else _Preconditioner()
     for _ in range(MAX_POLICIES):

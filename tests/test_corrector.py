@@ -1,3 +1,4 @@
+import contextlib
 import math
 import weakref
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from homogbc import corrector, fdsolver
 from homogbc.corrector import (build_strip, estimate_gbar, ray_limit,
                                rotation_frame, solve_corrector)
-from homogbc.operators import SourceAndBoundaryData, laplacian, pucci_plus
+from homogbc.operators import (SourceAndBoundaryData, laplacian,
+                               linear_operator, pucci_plus)
 
 SQRT2 = math.sqrt(2.0)
 NU_IRR = np.array([1.0, SQRT2]) / math.sqrt(3.0)
@@ -178,12 +180,108 @@ def test_pucci_strip_retains_no_factor(monkeypatch):
     with fdsolver.factor_reuse() as scope:
         solve_corrector(p)
         assert scope.lu is None and scope.matrix is None
-    assert scope.counts() == {"factorizations": 0, "reused_solves": 0}
+    assert scope.counts() == {"factorizations": 0, "reused_solves": 0,
+                              "problems_built": 1, "problems_reused": 0}
     assert calls["splu"] > 2
 
 
 COS_DATA = SourceAndBoundaryData.from_exprs(
     "cos(2*pi*y1)*cos(2*pi*y2)", "0", dim=2, period=(1.0, 1.0))
+NORMALS = [np.array([math.cos(a), math.sin(a)]) for a in (0.3, 1.1, 2.0)]
+# y0 = X0/eps moves with eps, and so does the bottom trace
+X0 = np.array([0.3, 0.1])
+
+
+def _count_discretize(monkeypatch):
+    calls = []
+    discretize = corrector.discretize
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return discretize(*args, **kwargs)
+
+    monkeypatch.setattr(corrector, "discretize", counted)
+    return calls
+
+
+def _sweep(op, normals=NORMALS):
+    """estimate_gbar at every normal, in one factor_reuse scope."""
+    with fdsolver.factor_reuse() as scope:
+        ests = [estimate_gbar(X0, nu, [0.25, 0.125], 2.0, 8.0,
+                              1 / 8, COS_DATA, op) for nu in normals]
+    return scope, ests
+
+
+@pytest.mark.parametrize("op", [laplacian(), pucci_plus(1.0, 2.0)],
+                         ids=["laplace", "pucci"])
+def test_scope_discretizes_a_rotation_invariant_strip_once(monkeypatch, op):
+    # the rotated operator is the operator and does not depend on y:
+    # every strip of the scope is one discrete problem with other ring
+    # values, and reads the bits of the same strip solved on its own
+    calls = _count_discretize(monkeypatch)
+    scope, ests = _sweep(op)
+    assert len(calls) == 1
+    assert scope.counts()["problems_built"] == 1
+    assert scope.counts()["problems_reused"] == 2 * len(NORMALS) - 1
+    for nu, est in zip(NORMALS, ests):
+        for rec in est.per_eps:
+            alpha, err, alone = ray_limit(build_strip(
+                X0, nu, rec["eps"], 2.0, 8.0, 1 / 8, COS_DATA, op))
+            assert alpha == rec["alpha"] and err == rec["err"]
+            assert alone["ray_readings"] == rec["ray_readings"]
+    assert len(calls) == 1 + 2 * len(NORMALS)
+
+
+@pytest.mark.parametrize("kind", ["anisotropic", "bellman", "laminate"])
+def test_scope_rediscretizes_strips_of_other_operators(monkeypatch,
+                                                       diag_bellman, kind):
+    # a rotated anisotropic or Bellman operator is a new operator, and
+    # a laminate's coefficients move with the strip: no strip reuses
+    # another's problem
+    op = {"anisotropic": linear_operator({"a11": "1.0", "a22": "2.0"},
+                                         1.0, 2.0),
+          "bellman": diag_bellman("sup"),
+          "laminate": linear_operator({"a11": "1.5 + 0.5*sin(2*pi*y1)",
+                                       "a22": "1.5 + 0.5*sin(2*pi*y1)"},
+                                      1.0, 2.0)}[kind]
+    calls = _count_discretize(monkeypatch)
+    scope, _ = _sweep(op, NORMALS[:2])
+    assert len(calls) == 4
+    assert scope.counts()["problems_built"] == 4
+    assert scope.counts()["problems_reused"] == 0
+
+
+def test_scope_frees_its_strip_problem():
+    # the held problem goes with the scope, also on an exception, and
+    # nothing else keeps it alive
+    p = build_strip(np.zeros(2), NU_IRR, 1 / 8, 2.0, 8.0, 1 / 8, COS_DATA,
+                    laplacian())
+    for fail in (False, True):
+        with pytest.raises(RuntimeError) if fail else \
+                contextlib.nullcontext():
+            with fdsolver.factor_reuse() as scope:
+                solve_corrector(p)
+                held = weakref.ref(scope.problem[0])
+                if fail:
+                    raise RuntimeError("inside the scope")
+        assert fdsolver._scope is None
+        assert scope.problem is None and scope.problem_key is None
+        assert held() is None
+
+
+@pytest.mark.parametrize("op", [laplacian(), pucci_plus(1.0, 2.0)],
+                         ids=["laplace", "pucci"])
+def test_later_strip_leaves_earlier_fields_alone(op):
+    # a later strip resets the held problem's ring values; the field an
+    # earlier strip returned is its own
+    with fdsolver.factor_reuse():
+        first = solve_corrector(build_strip(
+            X0, NU_IRR, 1 / 4, 2.0, 8.0, 1 / 8, COS_DATA, op))
+        kept = first.field.values.copy()
+        second = solve_corrector(build_strip(
+            X0, NU_IRR, 1 / 8, 2.0, 8.0, 1 / 8, COS_DATA, op))
+    assert np.array_equal(first.field.values, kept)
+    assert not np.array_equal(second.field.values, kept)
 
 
 def _two_passes(monkeypatch, T, L, h):

@@ -308,7 +308,8 @@ def test_sample_gbar_reuses_linear_factors_in_scope(cosdata_problem):
     assert len(env.samples) == 4
     # 4 points x 2 eps x 2 passes, every one a linear strip solve, and
     # the Laplace strips of every normal share one matrix
-    assert counts == {"factorizations": 1, "reused_solves": 15}
+    assert counts == {"factorizations": 1, "reused_solves": 15,
+                      "problems_built": 1, "problems_reused": 7}
     assert fdsolver._scope is None
 
 

@@ -275,10 +275,40 @@ def test_large_2d_linear_system_in_a_scope_is_factored():
     p = discretize(laplacian(), dom, h, boundary=_harmonic)
     with factor_reuse() as scope:
         recs = [solve_dirichlet(p)[1] for _ in range(2)]
-        assert scope.counts() == {"factorizations": 1, "reused_solves": 1}
+        assert scope.counts() == {"factorizations": 1, "reused_solves": 1,
+                                  "problems_built": 0, "problems_reused": 0}
     assert [s["path"] for r in recs for s in r["solves"]] == \
         ["direct", "lu_reuse"]
     assert "aggregates" not in vars(p)
+
+
+def test_linear_solve_takes_its_policy_from_its_member(monkeypatch):
+    # a linear problem's one policy is its member: the loop evaluates
+    # only its solution, and the field and record are those of one
+    # exact solve of the policy the start iterate would have picked
+    p = discretize(laplacian(), RECT, 1 / 16, boundary=_harmonic)
+    u = p.grid.values.ravel().copy()
+    u[p.int_flat] = np.mean(u[p.grid.mask.ravel() == fdsolver.BOUNDARY])
+    _, weights = p.evaluate(u, want_policy=True)
+    report = {}
+    u[p.int_flat] = fdsolver._solve_sparse(
+        p.assemble(weights), 2, lambda: p.order, linear=True,
+        x0=u[p.int_flat], report=report, levels=lambda: p.aggregates)
+    evaluate = fdsolver.DiscreteProblem.evaluate
+    evaluated = []
+
+    def counted(self, u_flat, want_policy):
+        evaluated.append(u_flat.copy())
+        return evaluate(self, u_flat, want_policy)
+
+    monkeypatch.setattr(fdsolver.DiscreteProblem, "evaluate", counted)
+    grid, rec = solve_dirichlet(p)
+    assert len(evaluated) == 1 and np.array_equal(evaluated[0], u)
+    assert np.array_equal(grid.values.ravel(), u)
+    assert rec == {"iterations": 1,
+                   "residual_history": [float(np.max(np.abs(
+                       evaluate(p, u, False)[0])))],
+                   "converged": True, "tol": 1e-8, "solves": [report]}
 
 
 def test_linear_solve_above_tol_raises_at_the_floor():
@@ -315,7 +345,8 @@ def test_factor_reuse_scope_nests_and_frees_on_exception():
             raise RuntimeError("inside the scope")
     assert fdsolver._scope is None
     assert scope.lu is None and scope.matrix is None
-    assert scope.counts() == {"factorizations": 1, "reused_solves": 1}
+    assert scope.counts() == {"factorizations": 1, "reused_solves": 1,
+                              "problems_built": 0, "problems_reused": 0}
     w, _ = solve_dirichlet(p)
     assert np.array_equal(u.values, v.values)
     assert np.array_equal(u.values, w.values)
@@ -340,7 +371,8 @@ def test_linear_problem_assembles_its_matrix_once(monkeypatch):
         p.grid.values[p.grid.mask == fdsolver.BOUNDARY] += 1.0
         monkeypatch.setattr(fdsolver, "_same_entries", None)
         v, rec = solve_dirichlet(p, start=u)
-        assert scope.counts() == {"factorizations": 1, "reused_solves": 1}
+        assert scope.counts() == {"factorizations": 1, "reused_solves": 1,
+                                  "problems_built": 0, "problems_reused": 0}
     assert len(built) == 1 and built[0] is p
     assert rec["solves"][0]["path"] == "lu_reuse"
     q = discretize(laplacian(), RECT, 1 / 16,
