@@ -19,7 +19,7 @@ error bar W_{t*} + truncation bound + solver tolerance; the estimator
 aggregates them into the one-sided effective data gbar_star/gbar_lower
 and their equality verdict.  The estimator runs its strips in one
 ``fdsolver.factor_reuse`` scope.  Under a rotation-invariant operator
-that does not depend on y (Pucci, a constant isotropic linear operator)
+whose strips sample one constant coefficient (Pucci, the Laplacian)
 every strip of the scope with the same T, L and h is one discrete
 problem with other ring values, so it is discretized once per scope,
 not once per strip.  Under a linear operator the strips of one normal
@@ -159,16 +159,18 @@ def _strip_problem(p):
 
     Every ring node carries the bottom trace at its foot (bottom and
     lateral faces share it); the caller sets the top-face values before
-    each solve.  When the rotated operator is the operator itself and
-    does not depend on y (Pucci, a constant isotropic linear operator),
-    the problem depends on the strip only through its ring values: a
-    ``factor_reuse`` scope then holds it under (operator, T, L, h,
-    dim), and a later strip with that key resets its ring values.
+    each solve.  When the rotated operator is the operator itself
+    (Pucci, a multiple of I), a ``factor_reuse`` scope holds the
+    problem under (operator, T, L, h), and a later strip with that key
+    resets its ring values, provided it would discretize to the same
+    members: a linear strip only when its coefficients at the held
+    interior nodes all equal the held problem's one constant matrix (a
+    Pucci strip samples none).
     """
     n = p.Q.shape[0]
     op = p.op.rotated(p.Q)
-    key = (op, p.T, p.L, p.h, n) \
-        if op is p.op and not op.y_dependent else None
+    key = (op, p.T, p.L, p.h) if op is p.op else None
+    linear = op.kind == "linear"
 
     def build():
         lo = np.array([-p.L / 2.0] * (n - 1) + [0.0])
@@ -180,9 +182,17 @@ def _strip_problem(p):
         coords = grid.coords()
         top = ring & (coords[..., -1] >= p.T - p.h / 2.0)
         feet = np.asarray(dom.project(coords[ring]), dtype=float)[..., :-1]
-        return prob, top, ring, feet
+        # the interior nodes discretize sampled, and their first sample
+        xi = coords[grid.mask == fdsolver.INTERIOR] if linear else None
+        a0 = op.coefficients(p.y_of_xi(xi[:1]))[0] if linear else None
+        return prob, top, ring, feet, xi, a0
 
-    prob, top, ring, feet = fdsolver.scoped_problem(key, build)
+    def fits(held):
+        xi, a0 = held[4:]
+        return not linear or \
+            bool(np.all(op.coefficients(p.y_of_xi(xi)) == a0))
+
+    prob, top, ring, feet, _, _ = fdsolver.scoped_problem(key, build, fits)
     prob.grid.values[ring] = p.bottom_trace(feet)
     return prob, top
 

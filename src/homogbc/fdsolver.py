@@ -47,7 +47,8 @@ problem assembles its matrix once.
 Inside a ``factor_reuse`` scope the sparse LU of the last linear
 system is kept, and a later linear system with the same matrix is
 served by a back-solve; the scope also holds the last problem built
-by ``scoped_problem``, which a later caller with an equal key reuses.
+by ``scoped_problem``, which a later caller with an equal key and
+the same discrete data reuses.
 """
 
 import contextlib
@@ -770,20 +771,6 @@ class FactorScope:
             self.factorizations += 1
         return self.lu
 
-    def held_problem(self, key, build):
-        """The held problem when ``key`` equals its key; otherwise drop
-        it, call ``build()`` and hold the result under ``key``, unless
-        ``key`` is None."""
-        if key is not None and key == self.problem_key:
-            self.problems_reused += 1
-            return self.problem
-        self.problem_key = self.problem = None
-        problem = build()
-        self.problems_built += 1
-        if key is not None:
-            self.problem_key, self.problem = key, problem
-        return problem
-
     def counts(self):
         return {"factorizations": self.factorizations,
                 "reused_solves": self.reused_solves,
@@ -816,18 +803,31 @@ def factor_reuse():
         _scope = None
 
 
-def scoped_problem(key, build):
+def scoped_problem(key, build, fits):
     """``build()``, or inside a ``factor_reuse`` scope the problem the
-    scope holds under an equal ``key``.
+    scope holds under an equal ``key`` when ``fits(problem)``.
 
-    The scope holds one problem at a time, the last one built under a
-    key that is not None, and counts every problem built and reused
-    inside it.  A caller that reuses a problem resets what differs
-    (its ring values, say); the grid, neighbour tables, cached arms,
-    elimination order and a linear problem's assembled matrix carry
-    over, so that matrix meets the scope's LU as the same object.
+    The scope holds one problem at a time: the last one it built under
+    a key that is not None and that fits.  ``fits`` says whether a
+    problem serves the caller as it is, apart from what the caller
+    resets (its ring values, say), so equal keys alone never share one.
+    The grid, neighbour tables, cached arms, elimination order and a
+    linear problem's assembled matrix carry over, so that matrix meets
+    the scope's LU as the same object.  The scope counts every problem
+    built and reused inside it.
     """
-    return build() if _scope is None else _scope.held_problem(key, build)
+    s = _scope
+    if s is None:
+        return build()
+    if key is not None and key == s.problem_key and fits(s.problem):
+        s.problems_reused += 1
+        return s.problem
+    s.problem_key = s.problem = None
+    problem = build()
+    s.problems_built += 1
+    if key is not None and fits(problem):
+        s.problem_key, s.problem = key, problem
+    return problem
 
 
 class _Preconditioner:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from homogbc import corrector, fdsolver
 from homogbc.corrector import (build_strip, estimate_gbar, ray_limit,
                                rotation_frame, solve_corrector)
-from homogbc.operators import (SourceAndBoundaryData, laplacian,
-                               linear_operator, pucci_plus)
+from homogbc.operators import (EllipticOperatorSpec, SourceAndBoundaryData,
+                               laplacian, linear_operator, pucci_plus)
 
 SQRT2 = math.sqrt(2.0)
 NU_IRR = np.array([1.0, SQRT2]) / math.sqrt(3.0)
@@ -232,23 +232,56 @@ def test_scope_discretizes_a_rotation_invariant_strip_once(monkeypatch, op):
     assert len(calls) == 1 + 2 * len(NORMALS)
 
 
-@pytest.mark.parametrize("kind", ["anisotropic", "bellman", "laminate"])
+@pytest.mark.parametrize("kind", ["anisotropic", "bellman", "laminate",
+                                  "antidiagonal_laminate"])
 def test_scope_rediscretizes_strips_of_other_operators(monkeypatch,
                                                        diag_bellman, kind):
     # a rotated anisotropic or Bellman operator is a new operator, and
-    # a laminate's coefficients move with the strip: no strip reuses
-    # another's problem
+    # a laminate's coefficients move with the strip, also along
+    # (1, -1), whose every probe point of the period cell reads 1.5 I:
+    # no strip reuses another's problem
+    lam = {"laminate": "1.5 + 0.5*sin(2*pi*y1)",
+           "antidiagonal_laminate": "1.5 + 0.5*sin(2*pi*(y1 - y2))"}
     op = {"anisotropic": linear_operator({"a11": "1.0", "a22": "2.0"},
                                          1.0, 2.0),
-          "bellman": diag_bellman("sup"),
-          "laminate": linear_operator({"a11": "1.5 + 0.5*sin(2*pi*y1)",
-                                       "a22": "1.5 + 0.5*sin(2*pi*y1)"},
-                                      1.0, 2.0)}[kind]
+          "bellman": diag_bellman("sup")}.get(kind) or \
+        linear_operator({"a11": lam[kind], "a22": lam[kind]}, 1.0, 2.0)
+    if kind == "antidiagonal_laminate":
+        assert op.rotated(rotation_frame(NORMALS[0])) is op
     calls = _count_discretize(monkeypatch)
     scope, _ = _sweep(op, NORMALS[:2])
     assert len(calls) == 4
     assert scope.counts()["problems_built"] == 4
     assert scope.counts()["problems_reused"] == 0
+
+
+def _half_step_coeff(y):
+    # 2 I where 8 y1 is a half-integer, else I: every probe point and
+    # the nodes of a strip at y0 = 0 read I, those at y0 = (1/16, 0) 2 I
+    c = np.where(np.mod(8.0 * np.asarray(y)[..., 0], 1.0) == 0.5, 2.0, 1.0)
+    return c[..., None, None] * np.eye(2)
+
+
+def test_scope_rediscretizes_a_strip_whose_constant_moved():
+    # each strip's coefficients are one constant matrix, but not the
+    # same one: the second strip is discretized anew, with its own
+    # members, not served the first's
+    op = EllipticOperatorSpec("linear", 1.0, 2.0, 2, coeff=_half_step_coeff)
+    strips = [build_strip(np.array([x, 0.0]), np.array([0.0, 1.0]), 1 / 8,
+                          2.0, 8.0, 1 / 8, COS_DATA, op)
+              for x in (0.0, 1 / 128)]
+    with fdsolver.factor_reuse() as scope:
+        probs = [corrector._strip_problem(p)[0] for p in strips]
+    assert scope.counts()["problems_built"] == 2
+    assert scope.counts()["problems_reused"] == 0
+    for p, prob in zip(strips, probs):
+        alone = corrector._strip_problem(p)[0]
+        assert alone.members[0].keys() == prob.members[0].keys()
+        for d, (c, _) in alone.members[0].items():
+            assert np.array_equal(prob.members[0][d][0], c)
+    d = next(iter(probs[0].members[0]))
+    assert not np.array_equal(probs[0].members[0][d][0],
+                              probs[1].members[0][d][0])
 
 
 def test_scope_frees_its_strip_problem():
