@@ -15,9 +15,11 @@ principle holds.
 
 Masked Dirichlet grids and the periodic cell problem on a torus are the
 same DiscreteProblem, solved by Howard policy iteration: freeze the
-optimizing member at each node, solve the resulting linear system,
-which stores only that member's stencil and is assembled straight
-into CSR (a sparse LU, or BiCGSTAB above the Krylov switch; every
+optimizing member at each node (a compact policy: the member's index
+and, for sign-dependent slopes, one sign bit per direction), solve the
+resulting linear system, which stores only that member's stencil and
+is assembled straight into CSR from the policy and one int32
+neighbour table (a sparse LU, or BiCGSTAB above the Krylov switch; every
 solve is checked by its residual), and re-optimize until the nonlinear
 residual is below tolerance.  Every direct solve factors its matrix
 under one nested-dissection order of the grid's unknowns (George
@@ -63,7 +65,8 @@ import scipy.sparse.linalg as spla
 
 __all__ = [
     "EXTERIOR", "BOUNDARY", "INTERIOR",
-    "GridField", "DiscreteProblem", "LinearSystem", "CertificateError",
+    "GridField", "DiscreteProblem", "LinearSystem", "Policy",
+    "CertificateError",
     "SolveError",
     "frames_for", "monotone_weights", "discretize", "discretize_cell",
     "solve_dirichlet", "factor_reuse", "scoped_problem",
@@ -273,10 +276,27 @@ class GridField:
 
 class LinearSystem(NamedTuple):
     """B x = b for the interior unknowns of one frozen policy: B = -L
-    (an M-matrix) in canonical CSR, and ``norm`` its max norm."""
+    (an M-matrix) in canonical CSR, and ``norm`` its max norm, or None
+    until a backward-error check needs it (most inexact Howard solves
+    never do)."""
     B: sparse.csr_matrix
     b: np.ndarray
-    norm: float
+    norm: Optional[float]
+
+
+def _max_norm(B):
+    """The max norm of the CSR ``B``: its largest row sum of |entries|."""
+    return float(np.max(np.add.reduceat(np.abs(B.data), B.indptr[:-1])))
+
+
+class Policy(NamedTuple):
+    """A frozen Howard policy: ``member`` holds the optimal member of
+    each interior node (int8, the lowest index on ties) and, when some
+    member's slopes depend on the sign of its second differences,
+    ``signs`` holds one bit per direction of ``policy_dirs`` (bit j set
+    where Delta_d >= 0 along the j-th); else ``signs`` is None."""
+    member: np.ndarray
+    signs: Optional[np.ndarray]
 
 
 @dataclass
@@ -284,7 +304,13 @@ class DiscreteProblem:
     """F_h(D^2 u + shift) - delta*u = f on a masked grid or a torus.
 
     ``members`` is the operator's family (see ``_family``), reduced by
-    sup or inf according to ``mode``.  A Dirichlet problem has
+    sup or inf according to ``mode``.  ``arms`` is the one neighbour
+    table, int32 of shape (2 len(dirs), n): row 2j holds each interior
+    node's neighbour along +dirs[j], row 2j + 1 along -dirs[j], as its
+    unknown index below n, or as n + i for the ring node whose flat grid
+    index is ``ring_flat[i]``.  A Howard solve keeps a compact
+    ``Policy`` per iterate, not a weight array per direction, and
+    builds each system straight from it.  A Dirichlet problem has
     ``shift`` None and ``delta`` 0; the periodic cell problem sets the
     per-direction shift m_d = unit(d)^T M unit(d) and the zero-order
     coefficient delta, so that -A of the assembled cell system has row
@@ -294,7 +320,8 @@ class DiscreteProblem:
     f: np.ndarray
     dirs: list
     int_flat: np.ndarray
-    nbr: dict
+    arms: np.ndarray
+    ring_flat: np.ndarray
     members: list
     mode: str
     shift: Optional[dict] = None
@@ -311,54 +338,72 @@ class DiscreteProblem:
         h = self.grid.h
         out = {}
         uc = u_flat[self.int_flat]
-        for d in self.dirs:
-            ip, im = self.nbr[d]
+        ends = np.concatenate((uc, u_flat[self.ring_flat]))
+        for j, d in enumerate(self.dirs):
             w = 1.0 / (h * h * float(np.dot(d, d)))
-            out[d] = (u_flat[ip] + u_flat[im] - 2.0 * uc) * w
+            out[d] = (ends.take(self.arms[2 * j]) +
+                      ends.take(self.arms[2 * j + 1]) - 2.0 * uc) * w
             if self.shift is not None:
                 out[d] += self.shift[d]
         return out
 
+    @functools.cached_property
+    def policy_dirs(self):
+        """The members' directions in order of first appearance: the
+        order in which every system sums its diagonal."""
+        return list(dict.fromkeys(d for mem in self.members for d in mem))
+
+    @functools.cached_property
+    def _flips(self):
+        """Per member, the bits of ``policy_dirs`` whose slopes depend on
+        the sign (None for a sign-independent family)."""
+        if self.sign_independent:
+            return None
+        bits = np.uint8 if len(self.policy_dirs) <= 8 else np.uint16
+        return np.array([sum(1 << j for j, d in enumerate(self.policy_dirs)
+                             if d in mem and mem[d][0] is not mem[d][1])
+                         for mem in self.members], dtype=bits)
+
     def _extremum(self, d2, want_policy):
         """Sup/inf over the members of sum_d c_d * d2[d], with c_d the
-        member's slope for the sign of d2[d]; optionally the weights of
-        the optimal member at each node (ties pick the lowest index)."""
-        vals, slopes = [], []
-        for mem in self.members:
-            tot = np.zeros(self.n_interior)
-            cs = {}
+        member's slope for the sign of d2[d], reduced as a running
+        extremum; optionally the optimal ``Policy``."""
+        n = self.n_interior
+        ge = None if self.sign_independent else {
+            d: (d2[d] >= 0).view(np.uint8) for d in self.policy_dirs}
+        member = np.zeros(n, dtype=np.int8) if want_policy else None
+        take_max = self.mode == "sup"
+        F = None
+        for m, mem in enumerate(self.members):
+            tot = np.zeros(n)
             for d, (up, down) in mem.items():
                 # sign-dependent slopes are scalars (Pucci): a two-entry
                 # table lookup, several times faster than np.where
-                c = up if up is down else np.array([down, up]).take(
-                    (d2[d] >= 0).view(np.int8))
+                c = up if up is down else np.array([down, up]).take(ge[d])
                 tot += c * d2[d]
-                cs[d] = c
-            vals.append(tot)
-            slopes.append(cs)
-        if len(vals) == 1:
-            return vals[0], (slopes[0] if want_policy else None)
-        stackv = np.stack(vals)
-        take_max = self.mode == "sup"
-        F = stackv.max(axis=0) if take_max else stackv.min(axis=0)
+            if F is None:
+                F = tot
+                continue
+            if want_policy:
+                # a strict gain moves the node, so ties keep the lowest
+                member[tot > F if take_max else tot < F] = m
+            (np.maximum if take_max else np.minimum)(F, tot, out=F)
         if not want_policy:
             return F, None
-        weights = {}
-        taken = np.zeros(self.n_interior, dtype=bool)
-        for v, cs in zip(vals, slopes):
-            sel = (v == F) & ~taken  # the lowest optimal index
-            taken |= sel
-            for d, c in cs.items():
-                weights[d] = weights.get(d, 0.0) + sel * c
-        return F, weights
+        signs = None
+        if ge is not None:
+            signs = np.zeros(n, dtype=self._flips.dtype)
+            for j, d in enumerate(self.policy_dirs):
+                signs |= np.left_shift(ge[d], j, dtype=signs.dtype)
+        return F, Policy(member, signs)
 
     def evaluate(self, u_flat, want_policy):
         """The residual F_h(u) - delta*u - f over interior nodes and,
-        if ``want_policy``, the weights of the optimal member."""
-        F, weights = self._extremum(self.second_diffs(u_flat), want_policy)
+        if ``want_policy``, the optimal ``Policy``."""
+        F, policy = self._extremum(self.second_diffs(u_flat), want_policy)
         if self.delta:
             F = F - self.delta * u_flat[self.int_flat]
-        return F - self.f, weights
+        return F - self.f, policy
 
     def residual(self, u_flat):
         """F_h(u) - delta*u - f over interior nodes."""
@@ -379,24 +424,15 @@ class DiscreteProblem:
         return len(self.members) == 1 and self.sign_independent
 
     @functools.cached_property
-    def _arms(self):
-        """Per direction, the +d and the -d arm of every interior node:
-        the neighbour's unknown index (-1 where it is not interior),
-        the arm's flat offset, and the nodes whose neighbour is on the
-        ring with that neighbour's flat index; the policy-independent
-        half of every assembled system."""
-        col_of = np.full(self.grid.values.size, -1, dtype=np.int32)
-        col_of[self.int_flat] = np.arange(self.n_interior, dtype=np.int32)
-        step = np.cumprod((1,) + self.grid.shape[:0:-1])[::-1]
-        arms = {}
-        for d, nbs in self.nbr.items():
-            arms[d] = []
-            for nb, sign in zip(nbs, (1, -1)):
-                col = col_of[nb]
-                ring = np.flatnonzero(col < 0)
-                arms[d].append((col, col >= 0, sign * int(step @ d), ring,
-                                nb[ring]))
-        return arms
+    def _ring_arms(self):
+        """Per row of ``arms``, the nodes whose arm ends on the ring and
+        that end's position in ``ring_flat``."""
+        n = self.n_interior
+        out = []
+        for ends in self.arms:
+            rows = np.flatnonzero(ends >= n)
+            out.append((rows, ends[rows] - n))
+        return out
 
     @functools.cached_property
     def order(self):
@@ -427,91 +463,139 @@ class DiscreteProblem:
             shape = coarse
         return levels
 
-    def _matrix(self, w):
-        """B = -L in canonical CSR, and its max norm, for the arm
-        weights ``w``.  Each row takes its entries in the order of the
-        arms' flat offsets, which is column order on a masked grid; a
-        torus row that wraps around is sorted afterwards."""
+    def _member_rows(self, policy):
+        """Per member, its index and the nodes that chose it: a slice of
+        all of them when the family has one member."""
+        if len(self.members) == 1:
+            return [(0, slice(None))]
+        return [(m, np.flatnonzero(policy.member == m))
+                for m in range(len(self.members))]
+
+    def _slopes(self, m, d, policy, rows, scale=1.0):
+        """Member m's slopes along d over ``scale`` at the nodes ``rows``
+        (an index array or a slice), all of which chose m."""
+        up, down = self.members[m][d]
+        if up is not down:
+            # sign-dependent slopes are scalars (Pucci): a two-entry
+            # table lookup by the sign bit
+            j = self.policy_dirs.index(d)
+            bit = np.bitwise_and(policy.signs[rows] >> j, 1, dtype=np.intp)
+            return np.array([down / scale, up / scale]).take(bit)
+        if np.ndim(up):
+            return up[rows] / scale
+        return np.broadcast_to(np.float64(up / scale),
+                               policy.member[rows].shape)
+
+    @staticmethod
+    def _scale(d, h):
+        """(h|d|)^2, the squared length of the arm along d."""
+        return h * h * float(np.dot(d, d))
+
+    def _matrix(self, policy):
+        """B = -L in canonical CSR for ``policy``, built one member's
+        nodes at a time.  Each row holds its member's arms of positive
+        weight to interior neighbours, in the order of the arms' flat
+        offsets, which is column order on a masked grid (a torus row
+        that wraps around is sorted afterwards), and its diagonal,
+        summed in ``policy_dirs`` order."""
         n = self.n_interior
-        diag = np.full(n, float(self.delta))
         count = np.ones(n, dtype=np.int32)
-        arms = [(0, None, None, None)]
-        for d, wd in w.items():
-            pos = wd > 0
-            for col, inner, offset, _, _ in self._arms[d]:
-                live = pos & inner
-                arms.append((offset, live, col, wd))
-                count += live
-            diag += 2.0 * wd
+        step = np.cumprod((1,) + self.grid.shape[:0:-1])[::-1]
+        blocks = []
+        for m, rows in self._member_rows(policy):
+            every = np.arange(n, dtype=np.int32)[rows]
+            if not every.size:
+                continue
+            diag = np.full(every.size, float(self.delta))
+            counted = np.ones(every.size, dtype=np.int32)
+            arms = [(0, None, None, None)]
+            for d in self.policy_dirs:
+                if d not in self.members[m]:
+                    continue
+                wd = self._slopes(m, d, policy, rows,
+                                  self._scale(d, self.grid.h))
+                diag += 2.0 * wd
+                pos = wd > 0
+                j = self.dirs.index(d)
+                for a, sign in ((2 * j, 1), (2 * j + 1, -1)):
+                    live = pos & (self.arms[a][rows] < n)
+                    counted += live
+                    arms.append((sign * int(step @ d), live, a, wd))
+            count[rows] = counted
+            blocks.append((rows, every, diag,
+                           sorted(arms, key=lambda arm: arm[0])))
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(count, out=indptr[1:])
         indices = np.empty(indptr[-1], dtype=np.int32)
         data = np.empty(indptr[-1])
-        at = indptr[:-1].copy()  # the next free slot of each row
-        for _, live, col, wd in sorted(arms, key=lambda arm: arm[0]):
-            if live is None:
-                indices[at] = np.arange(n, dtype=np.int32)
-                data[at] = diag
-                at += 1
-                continue
-            k = np.flatnonzero(live)
-            i = at.take(k)
-            indices[i] = col.take(k)
-            data[i] = -wd.take(k)
-            at += live
+        while blocks:
+            rows, every, diag, arms = blocks.pop()
+            # the next free slot of each row of the block; intp, as a
+            # scatter index
+            at = indptr[:-1][rows].astype(np.intp)
+            for _, live, a, wd in arms:
+                if live is None:
+                    indices[at] = every
+                    data[at] = diag
+                    at += 1
+                    continue
+                k = np.flatnonzero(live)
+                i = at.take(k)
+                indices[i] = self.arms[a].take(every.take(k))
+                data[i] = -wd.take(k)
+                at += live
         B = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
         B.sum_duplicates()
-        return B, float(np.max(np.add.reduceat(np.abs(B.data),
-                                               B.indptr[:-1])))
+        return B
 
-    def _scaled(self, weights):
-        """A policy's slopes per direction, broadcast over the interior
-        nodes, and its arm weights (the slopes over (h|d|)^2)."""
-        h = self.grid.h
-        c = {d: np.broadcast_to(np.asarray(cd, dtype=float),
-                                (self.n_interior,))
-             for d, cd in weights.items()}
-        return c, {d: cd / (h * h * float(np.dot(d, d)))
-                   for d, cd in c.items()}
-
-    def _add_ring(self, b, w, values):
+    def _add_ring(self, b, policy, values):
         """Add to ``b`` what the ring values of the grid array
-        ``values`` contribute under the arm weights ``w``."""
-        vals_flat = values.ravel()
-        for d, wd in w.items():
-            for _, _, _, ring, nb in self._arms[d]:
-                wr = wd.take(ring)
-                live = wr > 0
-                b[ring[live]] += wr[live] * vals_flat[nb[live]]
+        ``values`` contribute to the system of ``policy``: at each node,
+        along its member's directions in ``policy_dirs`` order."""
+        ring = values.ravel()[self.ring_flat]
+        for m, mem in enumerate(self.members):
+            for d in self.policy_dirs:
+                if d not in mem:
+                    continue
+                j = self.dirs.index(d)
+                for rows, ends in self._ring_arms[2 * j:2 * j + 2]:
+                    if len(self.members) > 1:
+                        mine = policy.member[rows] == m
+                        rows, ends = rows[mine], ends[mine]
+                    wr = self._slopes(m, d, policy, rows,
+                                      self._scale(d, self.grid.h))
+                    live = wr > 0
+                    b[rows[live]] += wr[live] * ring[ends[live]]
         return b
 
-    def assemble(self, weights):
+    def assemble(self, policy):
         """The frozen-policy system B x = b: B = -L and b = -rhs for the
         sparse system L u_int = rhs.
 
         Only arms with positive weight are stored, so the matrix holds
         the chosen member's stencil and no explicit zeros.  A linear
-        problem's weights are its one member's, so its matrix is
-        assembled once; later calls rebuild only b from the current
-        ring values.
+        problem's policy is its one member, so its matrix is assembled
+        once; later calls rebuild only b from the current ring values.
         """
-        c, w = self._scaled(weights)
         if self.linear and self._fixed is None:
-            self._fixed = self._matrix(w)
-        B, norm = self._fixed if self.linear else self._matrix(w)
-        b = self._add_ring(-np.asarray(self.f, dtype=float), w,
+            B = self._matrix(policy)
+            self._fixed = B, _max_norm(B)
+        B, norm = self._fixed if self.linear else (self._matrix(policy), None)
+        b = self._add_ring(-np.asarray(self.f, dtype=float), policy,
                            self.grid.values)
         if self.shift is not None:
-            for d in w:
-                b += c[d] * self.shift[d]
+            for m, rows in self._member_rows(policy):
+                for d in self.policy_dirs:
+                    c = self._slopes(m, d, policy, rows) \
+                        if d in self.members[m] else 0.0
+                    b[rows] += c * self.shift[d]
         return LinearSystem(B, b, norm)
 
-    def ring_rhs(self, weights, values):
+    def ring_rhs(self, policy, values):
         """The right-hand side that the ring values of the grid array
-        ``values`` alone contribute to the system of policy ``weights``
-        (no source, no shift)."""
-        return self._add_ring(np.zeros(self.n_interior),
-                              self._scaled(weights)[1], values)
+        ``values`` alone contribute to the system of ``policy`` (no
+        source, no shift)."""
+        return self._add_ring(np.zeros(self.n_interior), policy, values)
 
 
 # nested dissection stops at boxes of at most this many grid nodes
@@ -579,13 +663,28 @@ def _node_namer(grid, int_flat):
     return where
 
 
-def _neighbours(int_flat, shape, dirs, mode="raise"):
-    """Flat indices of the +d and -d neighbours of each interior node;
-    ``mode="wrap"`` makes the grid a torus."""
-    multi = np.stack(np.unravel_index(int_flat, shape), axis=-1)
-    return {d: (np.ravel_multi_index((multi + d).T, shape, mode=mode),
-                np.ravel_multi_index((multi - d).T, shape, mode=mode))
-            for d in dirs}
+def _arm_table(int_flat, shape, dirs, mode="raise"):
+    """The neighbour table of the interior nodes ``int_flat`` (see
+    ``DiscreteProblem.arms``) and the flat indices of the ring, every
+    arm's end that is not interior, in grid order; ``mode="wrap"`` makes
+    the grid a torus, which has no ring."""
+    n = int_flat.size
+    number = np.full(int(np.prod(shape)), -1, dtype=np.int32)
+    number[int_flat] = np.arange(n, dtype=np.int32)
+    multi = np.unravel_index(int_flat, shape)
+    arms = np.empty((2 * len(dirs), n), dtype=np.int32)
+    ring = []
+    for j, d in enumerate(dirs):
+        for a, sign in ((2 * j, 1), (2 * j + 1, -1)):
+            arms[a] = np.ravel_multi_index(
+                tuple(c + sign * dc for c, dc in zip(multi, d)), shape,
+                mode=mode)
+            ring.append(arms[a][number.take(arms[a]) < 0])
+    ring_flat = np.unique(np.concatenate(ring))
+    number[ring_flat] = n + np.arange(ring_flat.size, dtype=np.int32)
+    for ends in arms:
+        ends[:] = number.take(ends)
+    return arms, ring_flat
 
 
 def _family(op, frames, stencil_order, y_nodes, where):
@@ -647,26 +746,21 @@ def discretize(op, dom, h, stencil_order=2, boundary=None, source=None,
     interior = sd < -1e-12
     if not interior.any():
         raise ValueError("grid too coarse: no interior nodes")
-    # xi before the neighbour table: the other order leaves the peak RSS
-    # of a 3-d Howard solve about 10 MB higher (heap layout)
     xi = X[interior]
     int_flat = np.flatnonzero(interior)
-    nbr = _neighbours(int_flat, shape, dirs)
-    # the boundary ring: every stencil arm's end that is not interior
-    ring = np.zeros(interior.size, dtype=bool)
-    for ip, im in nbr.values():
-        ring[ip] = True
-        ring[im] = True
-    ring = ring.reshape(shape) & ~interior
+    del X, sd
+    arms, ring = _arm_table(int_flat, shape, dirs)
     mask = np.zeros(shape, dtype=np.int8)
-    mask[interior] = INTERIOR
-    mask[ring] = BOUNDARY
+    mask.flat[int_flat] = INTERIOR
+    mask.flat[ring] = BOUNDARY
 
     values = np.zeros(shape)
-    if boundary is not None and ring.any():
-        xb = X[ring]
+    if boundary is not None and ring.size:
+        # the ring's points, from the axes the grid's points came from
+        xb = np.stack([axes[i][k] for i, k in enumerate(
+            np.unravel_index(ring, shape))], axis=-1)
         proj = np.asarray(dom.project(xb), dtype=float)
-        values[ring] = np.asarray(boundary(proj), dtype=float)
+        values.flat[ring] = np.asarray(boundary(proj), dtype=float)
 
     grid = GridField(origin=origin, h=float(h), mask=mask, values=values)
 
@@ -680,7 +774,8 @@ def discretize(op, dom, h, stencil_order=2, boundary=None, source=None,
     if missing:
         raise CertificateError(f"stencil lacks directions {missing}")
     return DiscreteProblem(grid=grid, f=f, dirs=dirs, int_flat=int_flat,
-                           nbr=nbr, members=members, mode=mode)
+                           arms=arms, ring_flat=ring, members=members,
+                           mode=mode)
 
 
 def discretize_cell(op, M, delta, cell_grid):
@@ -705,10 +800,10 @@ def discretize_cell(op, M, delta, cell_grid):
                             lambda: grid.coords().reshape(-1, n),
                             _node_namer(grid, int_flat))
     unit = {d: np.asarray(d, float) / np.linalg.norm(d) for d in dirs}
+    arms, ring = _arm_table(int_flat, shape, dirs, mode="wrap")
     return DiscreteProblem(
         grid=grid, f=np.zeros(int_flat.size), dirs=dirs, int_flat=int_flat,
-        nbr=_neighbours(int_flat, shape, dirs, mode="wrap"),
-        members=members, mode=mode,
+        arms=arms, ring_flat=ring, members=members, mode=mode,
         shift={d: float(unit[d] @ M @ unit[d]) for d in dirs},
         delta=float(delta))
 
@@ -941,7 +1036,8 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
     RESIDUAL_CHECK.  A failed check raises SolveError.
     ``report``, if given, receives the path taken (``direct``,
     ``lu_reuse``, ``lu_precond``, ``vcycle`` or ``bicgstab``), the
-    Krylov iteration count (a spent budget's included), the checked
+    unknowns and stored entries (``nnz``) of B, the Krylov iteration
+    count (a spent budget's included), the checked
     residual, the stopping ``target`` (None at full accuracy), the
     ``fill`` of the LU used (None on the Krylov path) and the unknowns
     per level of the V-cycle (``levels``, None off its path).  A
@@ -961,6 +1057,9 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
         target = None  # the full-accuracy floor
 
     def backward_error(x):
+        nonlocal norm
+        if norm is None:
+            norm = _max_norm(B)
         scale = norm * np.max(np.abs(x)) + np.max(np.abs(b))
         return float(np.max(np.abs(B @ x - b)) / (scale if scale > 0
                                                    else 1.0))
@@ -1028,7 +1127,8 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
             raise SolveError(f"inexact {path} solve on {n} unknowns has "
                              f"residual {res:.3e} > target {target:.3e}")
     if report is not None:
-        report.update(path=path, krylov_iterations=krylov, residual=res,
+        report.update(path=path, unknowns=n, nnz=int(B.nnz),
+                      krylov_iterations=krylov, residual=res,
                       target=target, fill=fill, levels=sizes)
     return x
 
@@ -1043,9 +1143,17 @@ PRECOND_BUDGET = 25
 MAX_POLICIES = 50
 
 
-def _same_policy(v, w):
-    return v.keys() == w.keys() and all(np.array_equal(v[d], w[d])
-                                        for d in v)
+def _same_policy(p, v, w):
+    """Whether the policies v and w of ``p`` choose the same slopes at
+    every node: the same members and, where a member's slopes depend on
+    the sign, the same signs along that member's directions.  Different
+    members never choose the same slopes at a node: Pucci frames differ
+    in their directions, and linear members with equal weights at a node
+    tie there for every iterate, so the lowest of them is chosen."""
+    if not np.array_equal(v.member, w.member):
+        return False
+    return v.signs is None or not np.any(
+        (v.signs ^ w.signs) & p._flips.take(v.member))
 
 
 def solve_dirichlet(p, tol=1e-8, start=None, response=None):
@@ -1094,11 +1202,12 @@ def solve_dirichlet(p, tol=1e-8, start=None, response=None):
 
     Returns (GridField, record), and psi as a third GridField (1 on
     the marked nodes, 0 on the rest of the ring) when ``response`` is
-    given.  The record lists every policy's linear solve's path, Krylov
-    iterations, checked residual, target and LU fill under ``solves``,
-    and psi's under ``response``.  Raises SolveError with the residual
-    history if MAX_POLICIES solves do not converge or a policy repeats
-    after a full-accuracy solve above 10*tol.
+    given.  The record lists every policy's linear solve's path,
+    unknowns, stored entries, Krylov iterations, checked residual,
+    target and LU fill under ``solves``, and psi's under ``response``.
+    Raises SolveError with the residual history if MAX_POLICIES solves
+    do not converge or a policy repeats after a full-accuracy solve
+    above 10*tol.
     """
     grid = p.grid.copy()
     u = grid.values.ravel()
@@ -1114,23 +1223,23 @@ def solve_dirichlet(p, tol=1e-8, start=None, response=None):
     # policy the next linear system.  A linear problem's one policy is
     # its member, and its first solve is exact, so it needs no residual
     if p.linear:
-        r, weights = None, {d: up for d, (up, _) in p.members[0].items()}
+        r, policy = None, Policy(np.zeros(p.n_interior, dtype=np.int8), None)
     else:
-        r, weights = p.evaluate(u, want_policy=True)
+        r, policy = p.evaluate(u, want_policy=True)
     precond = None if p.linear or p.sign_independent and grid.dim == 2 \
         and response is None else _Preconditioner()
     for _ in range(MAX_POLICIES):
         report = {}
         u[p.int_flat] = _solve_sparse(
-            p.assemble(weights), grid.dim, lambda: p.order,
+            p.assemble(policy), grid.dim, lambda: p.order,
             linear=p.linear, x0=u[p.int_flat],
             target=None if exact else ETA * float(np.linalg.norm(r)),
             report=report, precond=precond, levels=lambda: p.aggregates)
         solves.append(report)
-        r, next_weights = p.evaluate(u, want_policy=True)
+        r, next_policy = p.evaluate(u, want_policy=True)
         res = float(np.max(np.abs(r)))
         history.append(res)
-        repeat = _same_policy(next_weights, weights)
+        repeat = _same_policy(p, next_policy, policy)
         if report["target"] is None:
             if res <= tol:
                 converged = True
@@ -1151,7 +1260,7 @@ def solve_dirichlet(p, tol=1e-8, start=None, response=None):
         # a policy that repeats is solved again at full accuracy before
         # the loop accepts or stops
         exact = repeat
-        weights = next_weights
+        policy = next_policy
     record = {
         "iterations": len(history),
         "residual_history": history,
@@ -1171,10 +1280,10 @@ def solve_dirichlet(p, tol=1e-8, start=None, response=None):
                     np.where(response, 1.0, 0.0))
     # pi's matrix is assembled again rather than kept through the loop,
     # where it would be alive while the next policy is chosen
-    B, _, norm = p.assemble(weights)
+    B, _, norm = p.assemble(policy)
     record["response"] = {}
     psi.values.ravel()[p.int_flat] = _solve_sparse(
-        LinearSystem(B, p.ring_rhs(weights, psi.values), norm), grid.dim,
+        LinearSystem(B, p.ring_rhs(policy, psi.values), norm), grid.dim,
         lambda: p.order, linear=p.linear, report=record["response"],
         precond=precond, levels=lambda: p.aggregates)
     return grid, record, psi

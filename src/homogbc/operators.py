@@ -81,10 +81,16 @@ class EllipticOperatorSpec:
             object.__setattr__(self, "period", (1.0,) * self.dim)
 
     def _probe_points(self):
-        """The origin and five points on the diagonal of the period cell."""
+        """The origin, five points on the diagonal of the period cell
+        and five off it: frac(k sqrt(p_i)) along axis i, k = 1..5, with
+        p_i the i-th prime (a Kronecker sequence), so that coefficients
+        varying across the diagonal, as y1 - y2 does, move there too."""
+        period = np.asarray(self.period)[None, :]
+        primes = np.array([2.0, 3.0, 5.0, 7.0, 11.0, 13.0])[:self.dim]
+        off = np.arange(1, 6)[:, None] * np.sqrt(primes)[None, :] % 1.0
         return np.concatenate([np.zeros((1, self.dim)),
-                               np.linspace(0.07, 0.93, 5)[:, None]
-                               * np.asarray(self.period)[None, :]])
+                               np.linspace(0.07, 0.93, 5)[:, None] * period,
+                               off * period])
 
     @property
     def y_dependent(self):
@@ -237,13 +243,20 @@ class SourceAndBoundaryData:
     def g_sup(self, x0=None):
         """sup |g(x0, y)| over one period cell, sampled on 96 points per
         axis (x0 defaults to the origin; an empty period is the unit
-        cell of x0's dimension, of the plane's without x0)."""
+        cell of x0's dimension, of the plane's without x0).  The samples
+        are taken in slabs of the first axis of at most 96^2 points, so
+        a 3-d cell never holds its 884,736 points at once."""
         period = self.period or (1.0,) * (2 if x0 is None else np.size(x0))
         axes = [np.linspace(0, p, 96, endpoint=False) for p in period]
-        Y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        X = np.zeros_like(Y) if x0 is None else np.broadcast_to(
-            np.asarray(x0, float), Y.shape).copy()
-        return float(np.max(np.abs(np.asarray(self.g(X, Y), dtype=float))))
+        rows = 96 ** max(0, 3 - len(axes))
+        sups = []
+        for start in range(0, 96, rows):
+            Y = np.stack(np.meshgrid(axes[0][start:start + rows], *axes[1:],
+                                     indexing="ij"), axis=-1)
+            X = np.zeros_like(Y) if x0 is None else np.broadcast_to(
+                np.asarray(x0, float), Y.shape).copy()
+            sups.append(np.max(np.abs(np.asarray(self.g(X, Y), dtype=float))))
+        return float(np.max(sups))
 
 
 def _random_spd_like(rng, dim, scale=1.0):

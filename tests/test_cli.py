@@ -245,6 +245,21 @@ def test_fast_variable_operator_is_refused_before_any_solve(tmp_path,
     assert not (out / "manifest.json").exists()
 
 
+def test_antidiagonal_laminate_is_refused(tmp_path):
+    # a laminate along (1, -1) is constant on the diagonal of the period
+    # cell; the probe points off it see that it depends on y
+    lam = "1.5 + 0.5*sin(2*pi*(y1 - y2))"
+    code, out = _run(tmp_path, "homogenize", {
+        "domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 0.9},
+        "operator": {"kind": "linear", "lam": 1.0, "Lam": 2.0,
+                     "exprs": {"a11": lam, "a22": lam}},
+        "g": "cos(2*pi*y1)*cos(2*pi*y2)", "period": [1.0, 1.0],
+        "eps_list": [0.1, 0.05], "delta": 0.1,
+    })
+    assert code == EXIT_CONFIG
+    assert not (out / "manifest.json").exists()
+
+
 def test_gbar_alpha_beyond_trace_range_exits_numerical(tmp_path, monkeypatch,
                                                        capsys):
     # a ray limit outside [-sup|g|, sup|g|] is a numerical failure with a

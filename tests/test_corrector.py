@@ -238,8 +238,8 @@ def test_scope_rediscretizes_strips_of_other_operators(monkeypatch,
                                                        diag_bellman, kind):
     # a rotated anisotropic or Bellman operator is a new operator, and
     # a laminate's coefficients move with the strip, also along
-    # (1, -1), whose every probe point of the period cell reads 1.5 I:
-    # no strip reuses another's problem
+    # (1, -1), which the probe points off the diagonal of the period
+    # cell see: no strip reuses another's problem
     lam = {"laminate": "1.5 + 0.5*sin(2*pi*y1)",
            "antidiagonal_laminate": "1.5 + 0.5*sin(2*pi*(y1 - y2))"}
     op = {"anisotropic": linear_operator({"a11": "1.0", "a22": "2.0"},
@@ -247,7 +247,8 @@ def test_scope_rediscretizes_strips_of_other_operators(monkeypatch,
           "bellman": diag_bellman("sup")}.get(kind) or \
         linear_operator({"a11": lam[kind], "a22": lam[kind]}, 1.0, 2.0)
     if kind == "antidiagonal_laminate":
-        assert op.rotated(rotation_frame(NORMALS[0])) is op
+        assert op.y_dependent
+        assert op.rotated(rotation_frame(NORMALS[0])) is not op
     calls = _count_discretize(monkeypatch)
     scope, _ = _sweep(op, NORMALS[:2])
     assert len(calls) == 4

@@ -445,8 +445,8 @@ def test_pruned_assembly_is_the_chosen_stencil(dim, order, pucci, cells,
     u = rng.uniform(-1.0, 1.0, p.grid.values.size)
     if flat:
         u[p.grid.coords().reshape(-1, dim)[:, 0] < 0] = 0.5
-    _, weights = p.evaluate(u, want_policy=True)
-    system = p.assemble(weights)
+    _, policy = p.evaluate(u, want_policy=True)
+    system = p.assemble(policy)
     A = system.B
     assert A.has_canonical_format
     assert np.all(A.data != 0.0)
@@ -455,9 +455,14 @@ def test_pruned_assembly_is_the_chosen_stencil(dim, order, pucci, cells,
     assert np.all(np.diag(B) > 0)
     assert np.all(off <= 0)
     assert np.all(B.sum(axis=1) >= -1e-9 * np.abs(np.diag(B)))
-    arms = sum((w > 0).astype(int) for w in weights.values())
-    assert np.all(arms <= dim)
-    assert np.all(np.diff(A.indptr) <= 1 + 2 * arms)
+    # each row holds its diagonal and the chosen frame's arms that end
+    # at an unknown
+    inner = p.arms < p.n_interior
+    assert all(len(p.members[m]) == dim for m in policy.member)
+    assert np.diff(A.indptr).tolist() == [
+        1 + sum(inner[2 * p.dirs.index(d) + s, k]
+                for d in p.members[m] for s in (0, 1))
+        for k, m in enumerate(policy.member)]
     x = fdsolver._solve_sparse(system, dim, lambda: p.order,
                                precond=fdsolver._Preconditioner())
     np.testing.assert_allclose(x, np.linalg.solve(B, system.b),
@@ -492,13 +497,13 @@ def test_dissection_order_separates_sibling_blocks(dissected, name):
     assert np.array_equal(p.order, np.lexsort(path.T[::-1]))
     assert path.shape[1] > 4
     assert np.any(path[:, 0] == 2) == (name == "torus")
-    for arms in p._arms.values():
-        for col, inner, _, _, _ in arms:
-            i, j = np.flatnonzero(inner), col[inner]
-            differ = path[i] != path[j]
-            k = np.argmax(differ, axis=1)
-            sides = path[i, k] + path[j, k]
-            assert not np.any(differ.any(axis=1) & (sides == 1))
+    for ends in p.arms:
+        inner = ends < p.n_interior
+        i, j = np.flatnonzero(inner), ends[inner]
+        differ = path[i] != path[j]
+        k = np.argmax(differ, axis=1)
+        sides = path[i, k] + path[j, k]
+        assert not np.any(differ.any(axis=1) & (sides == 1))
 
 
 @pytest.mark.parametrize("name", ["strip", "disk"])
@@ -521,11 +526,11 @@ def _masked_problem(op, interior, rng):
     grid = GridField(np.zeros(dim), 0.125, mask,
                      rng.uniform(-1.0, 1.0, interior.shape))
     members, mode = fdsolver._family(op, frames, 2, None, None)
+    arms, ring = fdsolver._arm_table(int_flat, interior.shape, dirs)
     return fdsolver.DiscreteProblem(
         grid=grid, f=rng.uniform(-1.0, 1.0, int_flat.size), dirs=dirs,
-        int_flat=int_flat,
-        nbr=fdsolver._neighbours(int_flat, interior.shape, dirs),
-        members=members, mode=mode)
+        int_flat=int_flat, arms=arms, ring_flat=ring, members=members,
+        mode=mode)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1167,3 +1172,71 @@ def test_monotone_certificate_holds_or_raises(dim, order, nodes, cross,
         e = np.asarray(d, float)
         rebuilt += w[:, None, None] * np.outer(e, e) / (e @ e)
     np.testing.assert_allclose(rebuilt, a, rtol=0.0, atol=1e-12)
+
+
+def _chosen_slopes(p, policy):
+    # the dense table of each node's chosen slope per direction, 0 off
+    # its member: what a policy means
+    out = np.zeros((p.n_interior, len(p.policy_dirs)))
+    for k, m in enumerate(policy.member):
+        for j, d in enumerate(p.policy_dirs):
+            if d in p.members[m]:
+                up, down = p.members[m][d]
+                sign = 1 if policy.signs is None else policy.signs[k] >> j & 1
+                out[k, j] = up if sign else down
+    return out
+
+
+def test_same_policy_compares_the_chosen_slopes():
+    # a sign flip along a direction outside the chosen frame leaves the
+    # policy a repeat; one inside it, or another frame, does not
+    p = discretize(pucci_plus(1.0, 1.5, 3), _SMALL[3], 1 / 4)
+    u = np.random.default_rng(5).uniform(-1.0, 1.0, p.grid.values.size)
+    _, v = p.evaluate(u, want_policy=True)
+    k = int(np.argmax(v.member == 3))  # frame ((0,1,1), (0,1,-1), (1,0,0))
+    outside = p.policy_dirs.index((0, 0, 1))
+    inside = p.policy_dirs.index((0, 1, 1))
+    cases = []
+    for j in (outside, inside):
+        signs = v.signs.copy()
+        signs[k] ^= 1 << j
+        cases.append(fdsolver.Policy(v.member, signs))
+    member = v.member.copy()
+    member[k] = 0
+    cases.append(fdsolver.Policy(member, v.signs))
+    assert [fdsolver._same_policy(p, w, v) for w in cases] == \
+        [True, False, False]
+    for w in cases:
+        assert fdsolver._same_policy(p, w, v) == np.array_equal(
+            _chosen_slopes(p, w), _chosen_slopes(p, v))
+
+
+# the traced peak of discretizing and solving the bump3d-pucci ball
+# (73,447 unknowns): 332 B per interior unknown, 707 with an int64
+# neighbour dict and per-direction weight arrays
+HOWARD_3D_BYTES = 400
+
+
+def test_3d_howard_solve_memory_per_unknown():
+    # Pucci+(1, 1.5) on the 0.26-ball at h 0.01, above the Krylov
+    # switch: every array the problem and its Howard loop allocate, at
+    # their peak, over 20 % margin on the measured 332 B per unknown
+    import tracemalloc
+
+    z = np.array([0.0, 0.0, 0.26])
+
+    def bump(x):
+        d = np.linalg.norm(np.atleast_2d(x) - z, axis=-1)
+        return np.clip(1.0 - d / 0.04, 0.0, 1.0)
+
+    tracemalloc.start()
+    try:
+        p = discretize(pucci_plus(1.0, 1.5, 3),
+                       DomainSpec.disk((0.0, 0.0, 0.0), 0.26), 0.01,
+                       boundary=bump)
+        _, rec = solve_dirichlet(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.n_interior == 73_447 and rec["converged"]
+    assert peak / p.n_interior <= HOWARD_3D_BYTES, peak / p.n_interior

@@ -160,6 +160,50 @@ def test_default_period_is_the_unit_cell_of_the_points():
     assert plane.g_sup() == plane.g_sup(np.zeros(2)) == 2.0 * top
 
 
+def test_3d_g_sup_samples_in_slabs():
+    # the maximum over the whole 96^3 sample grid, bit for bit, without
+    # holding that grid: a traced peak under 2 MB
+    import tracemalloc
+
+    from homogbc.operators import SourceAndBoundaryData
+    data = SourceAndBoundaryData.from_exprs(
+        "x1 + cos(2*pi*y1)*sin(2*pi*y2)*cos(2*pi*(y3 - 0.3))", "0", dim=3)
+    x0 = np.array([0.25, -0.5, 0.125])
+    axes = [np.linspace(0, 1.0, 96, endpoint=False)] * 3
+    Y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    X = np.broadcast_to(x0, Y.shape).copy()
+    full = float(np.max(np.abs(data.g(X, Y))))
+    del X, Y
+    tracemalloc.start()
+    try:
+        sup = data.g_sup(x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sup == full
+    assert peak < 2 * 2 ** 20, peak
+
+
+def test_probe_points_see_coefficients_off_the_diagonal():
+    # both coefficients below are constant on the diagonal y1 = y2 of
+    # the period cell: a laminate along (1, -1) depends on y, and an
+    # anisotropic a11 is rotated, so that at y = (0.25, 0), where a is
+    # diag(1.5, 1), the frame of (1, 1)/sqrt(2) reads Q^T a Q
+    lam = "1.5 + 0.5*sin(2*pi*(y1 - y2))"
+    assert linear_operator({"a11": lam, "a22": lam}, 1.0, 2.0).y_dependent
+    op = linear_operator({"a11": "1 + 0.5*sin(2*pi*(y1 - y2))",
+                          "a22": "1"}, 0.5, 1.5)
+    Q = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
+    rot = op.rotated(Q)
+    assert rot is not op
+    np.testing.assert_allclose(rot.coefficients(np.array([0.25, 0.0])),
+                               [[1.25, -0.25], [-0.25, 1.25]], atol=1e-12)
+    for kind in (laplacian(), laplacian(3), pucci_plus(1.0, 2.0),
+                 pucci_plus(1.0, 1.5, 3)):
+        assert not kind.y_dependent and kind.rotated(Q if kind.dim == 2
+                                                     else np.eye(3)) is kind
+
+
 def test_rotated_multiple_of_identity_is_unchanged():
     # Q^T (cI) Q = cI: returning the operator itself keeps the strip
     # matrix bit-identical in every frame
