@@ -431,7 +431,7 @@ class DiscreteProblem:
         out = []
         for ends in self.arms:
             rows = np.flatnonzero(ends >= n)
-            out.append((rows, ends[rows] - n))
+            out.append((rows, ends[rows].astype(np.intp) - n))
         return out
 
     @functools.cached_property
@@ -503,7 +503,8 @@ class DiscreteProblem:
         step = np.cumprod((1,) + self.grid.shape[:0:-1])[::-1]
         blocks = []
         for m, rows in self._member_rows(policy):
-            every = np.arange(n, dtype=np.int32)[rows]
+            # intp: a take with any other index dtype converts it first
+            every = np.arange(n)[rows]
             if not every.size:
                 continue
             diag = np.full(every.size, float(self.delta))
@@ -1153,7 +1154,7 @@ def _same_policy(p, v, w):
     if not np.array_equal(v.member, w.member):
         return False
     return v.signs is None or not np.any(
-        (v.signs ^ w.signs) & p._flips.take(v.member))
+        (v.signs ^ w.signs) & p._flips.take(v.member.astype(np.intp)))
 
 
 def solve_dirichlet(p, tol=1e-8, start=None, response=None):
