@@ -339,10 +339,12 @@ class DiscreteProblem:
         out = {}
         uc = u_flat[self.int_flat]
         ends = np.concatenate((uc, u_flat[self.ring_flat]))
+        # a take converts an int32 index far more slowly than astype
         for j, d in enumerate(self.dirs):
             w = 1.0 / (h * h * float(np.dot(d, d)))
-            out[d] = (ends.take(self.arms[2 * j]) +
-                      ends.take(self.arms[2 * j + 1]) - 2.0 * uc) * w
+            out[d] = (ends.take(self.arms[2 * j].astype(np.intp)) +
+                      ends.take(self.arms[2 * j + 1].astype(np.intp)) -
+                      2.0 * uc) * w
             if self.shift is not None:
                 out[d] += self.shift[d]
         return out
@@ -378,8 +380,10 @@ class DiscreteProblem:
             tot = np.zeros(n)
             for d, (up, down) in mem.items():
                 # sign-dependent slopes are scalars (Pucci): a two-entry
-                # table lookup, several times faster than np.where
-                c = up if up is down else np.array([down, up]).take(ge[d])
+                # table lookup, several times faster than np.where, by an
+                # intp index (take converts any other far more slowly)
+                c = up if up is down else np.array([down, up]).take(
+                    ge[d].astype(np.intp))
                 tot += c * d2[d]
             if F is None:
                 F = tot
