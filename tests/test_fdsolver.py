@@ -1212,7 +1212,7 @@ def test_same_policy_compares_the_chosen_slopes():
 
 
 # the traced peak of discretizing and solving the bump3d-pucci ball
-# (73,447 unknowns): 332 B per interior unknown, 707 with an int64
+# (73,447 unknowns): 332-335 B per interior unknown, 707 with an int64
 # neighbour dict and per-direction weight arrays
 HOWARD_3D_BYTES = 400
 
@@ -1220,7 +1220,7 @@ HOWARD_3D_BYTES = 400
 def test_3d_howard_solve_memory_per_unknown():
     # Pucci+(1, 1.5) on the 0.26-ball at h 0.01, above the Krylov
     # switch: every array the problem and its Howard loop allocate, at
-    # their peak, over 20 % margin on the measured 332 B per unknown
+    # their peak, with a 20 % margin over the measured 332-335 B
     import tracemalloc
 
     z = np.array([0.0, 0.0, 0.26])
