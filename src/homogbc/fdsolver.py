@@ -341,7 +341,7 @@ class DiscreteProblem:
         ends = np.concatenate((uc, u_flat[self.ring_flat]))
         # a take converts an int32 index far more slowly than astype
         for j, d in enumerate(self.dirs):
-            w = 1.0 / (h * h * float(np.dot(d, d)))
+            w = 1.0 / self._scale(d, h)
             out[d] = (ends.take(self.arms[2 * j].astype(np.intp)) +
                       ends.take(self.arms[2 * j + 1].astype(np.intp)) -
                       2.0 * uc) * w
