@@ -452,11 +452,13 @@ def build_envelopes(p, env):
 def _solver_summary(solves):
     """What the linear solves of a Howard record did: the count of each
     path, the factorizations (every ``direct`` solve factors), the
-    Krylov iterations in all, and the V-cycle's unknowns per level."""
+    V-cycle hierarchies built (at most one per solve), the Krylov
+    iterations in all, and the V-cycle's unknowns per level."""
     paths = collections.Counter(s["path"] for s in solves)
     return {
         "paths": dict(sorted(paths.items())),
         "factorizations": paths["direct"],
+        "hierarchy_builds": sum(bool(s["levels_built"]) for s in solves),
         "krylov_iterations": sum(s["krylov_iterations"] for s in solves),
         "levels": next((s["levels"] for s in solves if s["levels"]), None),
     }

@@ -34,12 +34,17 @@ starts from the current iterate and stops at ETA times its nonlinear
 residual, and the loop accepts only after a full-accuracy solve.
 A 2-d sign-independent family (every member's two slopes one value:
 Pucci with lam = Lam, a Bellman family) runs each policy, at any size,
-by BiCGSTAB with a V-cycle of that policy's matrix, unless the solve
-asks for its linear response: under Pucci(1, 1) the frames tie to
-O(h^2), so the policy moves a little at each of many steps and an LU
-would serve few of them, while a corrector strip's response is one
-back-solve of the LU the loop holds.  A policy the cycle fails on, or
-leaves above tol at its floor, is factored.  Every other policy below
+by BiCGSTAB with a V-cycle whose finest level is that policy's matrix,
+unless the solve asks for its linear response: under Pucci(1, 1) the
+frames tie to O(h^2), so the policy moves a little at each of many
+steps and an LU would serve few of them, while a corrector strip's
+response is one back-solve of the LU the loop holds.  The cycle's
+coarse levels are held as the LU is: built from the policy at hand,
+they serve later policies until those have been charged
+PRECOND_BUDGET iterations, and the policy at hand then builds them
+again; a held cycle that fails is built again from the policy at hand.
+A policy the cycle built from it fails on, or leaves above tol at its
+floor, is factored.  Every other policy below
 the switch, 3-d sign-independent ones too, keeps the held LU: the
 first policy is factored, and BiCGSTAB is preconditioned by the LU of
 the last factored policy; each factorization buys PRECOND_BUDGET
@@ -746,25 +751,34 @@ def discretize(op, dom, h, stencil_order=2, boundary=None, source=None,
     origin = lo - reach * h
     shape = tuple(int(c) + 2 * reach + 1 for c in counts)
     axes = [origin[i] + h * np.arange(shape[i]) for i in range(op.dim)]
-    X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    sd = np.asarray(dom.sdf(X))
-    interior = sd < -1e-12
-    if not interior.any():
+    # the nodes are classified in slabs of the first axis of at most
+    # 96^2 points (or one plane), so that no coordinate array of the
+    # whole bounding grid is ever held
+    plane = int(np.prod(shape[1:]))
+    rows = max(1, 96 ** 2 // plane)
+    int_flat = np.concatenate([
+        start * plane + np.flatnonzero(np.asarray(dom.sdf(np.stack(
+            np.meshgrid(axes[0][start:start + rows], *axes[1:],
+                        indexing="ij"), axis=-1))) < -1e-12)
+        for start in range(0, shape[0], rows)])
+    if not int_flat.size:
         raise ValueError("grid too coarse: no interior nodes")
-    xi = X[interior]
-    int_flat = np.flatnonzero(interior)
-    del X, sd
+
+    def points(flat):
+        """The points of the grid nodes ``flat``, from the axes."""
+        return np.stack([axes[i][k] for i, k in enumerate(
+            np.unravel_index(flat, shape))], axis=-1)
+
     arms, ring = _arm_table(int_flat, shape, dirs)
+    # after the table, whose temporaries set the peak of a large grid
+    xi = points(int_flat)
     mask = np.zeros(shape, dtype=np.int8)
     mask.flat[int_flat] = INTERIOR
     mask.flat[ring] = BOUNDARY
 
     values = np.zeros(shape)
     if boundary is not None and ring.size:
-        # the ring's points, from the axes the grid's points came from
-        xb = np.stack([axes[i][k] for i, k in enumerate(
-            np.unravel_index(ring, shape))], axis=-1)
-        proj = np.asarray(dom.project(xb), dtype=float)
+        proj = np.asarray(dom.project(points(ring)), dtype=float)
         values.flat[ring] = np.asarray(boundary(proj), dtype=float)
 
     grid = GridField(origin=origin, h=float(h), mask=mask, values=values)
@@ -931,12 +945,15 @@ def scoped_problem(key, build, fits):
 
 
 class _Preconditioner:
-    """The LU of the last policy one Howard solve factored, and the
-    preconditioned BiCGSTAB iterations it has left: each factorization
-    buys PRECOND_BUDGET of them, shared by the solves it serves."""
+    """What one Howard solve holds across its policies: the LU of the
+    last policy it factored or, if ``cycled``, the coarse levels of the
+    last V-cycle it built (``cycle``), and the preconditioned BiCGSTAB
+    iterations they have left: each factorization or build buys
+    PRECOND_BUDGET of them, shared by the solves it serves."""
 
-    def __init__(self):
-        self.lu = None
+    def __init__(self, cycled=False):
+        self.cycled = cycled
+        self.lu = self.cycle = None
         self.budget = 0
 
     def factor(self, B, order):
@@ -946,6 +963,14 @@ class _Preconditioner:
         self.lu = _Factor(B, order())
         self.budget = PRECOND_BUDGET
         return self.lu
+
+    def build(self, B, aggregates):
+        """Drop the held cycle, then build one from ``B``: one cycle is
+        alive at a time."""
+        self.cycle = None
+        self.cycle = _VCycle(B, aggregates)
+        self.budget = PRECOND_BUDGET
+        return self.cycle
 
 
 # systems of more unknowns take BiCGSTAB: every one in 3-d, and in 2-d a
@@ -966,39 +991,57 @@ VCYCLE_RTOL = 1e-14
 
 
 class _VCycle:
-    """One plain-aggregation V-cycle of the M-matrix B, a fixed linear
-    preconditioner for BiCGSTAB (Braess 1995; Vanek, Mandel and
-    Brezina, Computing 1996).
+    """The coarse levels of one plain-aggregation V-cycle built from the
+    M-matrix B, a fixed linear preconditioner for BiCGSTAB (Braess
+    1995; Vanek, Mandel and Brezina, Computing 1996).
 
     Level k + 1 is the Galerkin product P^T A_k P, where P is the
     0/1 prolongation that copies each aggregate's value to its unknowns
     (``DiscreteProblem.aggregates``): the sum of A_k's entries between
     two aggregates.  Summing an M-matrix's rows and columns over
     aggregates leaves an M-matrix, so every level is nonsingular and
-    diagonally positive.  ``sizes`` lists the unknowns per level.
+    diagonally positive.  ``first`` holds the finest level's
+    aggregates (None when the coarsest level is the finest), ``levels``
+    every level between the finest and the coarsest as (A_k, Jacobi
+    weights, aggregates), and ``coarsest`` the splu of the last.  The
+    finest level's matrix is not held:
+    a solve smooths on its own matrix (``finest``), so a cycle built
+    from one Howard policy's matrix serves a later policy without
+    keeping the earlier one alive.  ``sizes`` lists the unknowns per
+    level, finest first.
     """
 
     def __init__(self, B, aggregates):
+        self.first = aggregates[0] if aggregates else None
         self.levels = []
         A = B
         for agg in aggregates:
+            if A is not B:
+                self.levels.append((A, JACOBI_WEIGHT / A.diagonal(), agg))
             rows = np.repeat(agg, np.diff(A.indptr))
-            self.levels.append((A, JACOBI_WEIGHT / A.diagonal(), agg))
             m = int(agg.max()) + 1
             A = sparse.csr_matrix((A.data, (rows, agg[A.indices])),
                                   shape=(m, m))
         self.coarsest = spla.splu(A.tocsc())
-        self.sizes = [level[0].shape[0] for level in self.levels] + \
-            [A.shape[0]]
+        self.sizes = [B.shape[0]] * (self.first is not None) + \
+            [level[0].shape[0] for level in self.levels] + [A.shape[0]]
 
-    def solve(self, b, k=0):
-        """The cycle applied to ``b`` from level ``k`` down."""
-        if k == len(self.levels):
+    def finest(self, B):
+        """The levels of the cycle whose finest level is the matrix B,
+        with its own Jacobi weights, above the held ones (none when the
+        coarsest level is the finest)."""
+        if self.first is None:
+            return []
+        return [(B, JACOBI_WEIGHT / B.diagonal(), self.first)] + self.levels
+
+    def solve(self, levels, b):
+        """The cycle through ``levels`` (see ``finest``) applied to b."""
+        if not levels:
             return self.coarsest.solve(b)
-        A, weight, agg = self.levels[k]
+        A, weight, agg = levels[0]
         x = weight * b
         r = b - A @ x
-        x += self.solve(np.bincount(agg, weights=r), k + 1)[agg]
+        x += self.solve(levels[1:], np.bincount(agg, weights=r))[agg]
         x += weight * (b - A @ x)
         return x
 
@@ -1011,19 +1054,27 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
     called only when B is factored, so the Krylov path never builds
     it.  A ``linear`` system (its matrix does not depend on the
     iterate) solved directly inside a ``factor_reuse`` scope goes
-    through the scope's retained LU.  BiCGSTAB preconditioned by the
-    plain-aggregation V-cycle of B (``_VCycle`` over the aggregates
-    ``levels()``, called only there) serves a linear system above the
-    Krylov switch, more than KRYLOV_SWITCH unknowns, in 3-d, and in
-    2-d outside a ``factor_reuse`` scope; and a 2-d nonlinear system
-    given no ``precond``, at any size (``solve_dirichlet`` gives none
-    to a 2-d sign-independent problem whose solve asks for no
-    response).  A 3-d nonlinear
-    system above the switch takes plain BiCGSTAB.  Either Krylov path
-    starts from ``x0`` if given.  A Krylov failure of a linear or 3-d
-    system raises SolveError rather than falling back to a direct
-    solve of the same size; a 2-d nonlinear system, which the LU path
-    served at any size, is factored instead, as below.  Every other
+    through the scope's retained LU.  BiCGSTAB preconditioned by a
+    plain-aggregation V-cycle whose finest level is B (``_VCycle`` over
+    the aggregates ``levels()``, called only when one is built) serves
+    a linear system above the Krylov switch, more than KRYLOV_SWITCH
+    unknowns, in 3-d, and in 2-d outside a ``factor_reuse`` scope, with
+    a cycle built from B; and a nonlinear system whose ``precond`` is
+    ``cycled``, at any size (``solve_dirichlet`` gives such a one to a
+    2-d sign-independent problem whose solve asks for no response).
+    That ``precond`` holds the coarse levels of the last cycle it
+    built, with a budget as an LU's below: while budget is left, the
+    solve runs on them and its iterations are charged to it.
+    Otherwise, or when that solve fails or leaves a full-accuracy x
+    that fails its check, a cycle is built from B and held, and its
+    solve of B is not charged.  A 3-d nonlinear system above the
+    switch with any other ``precond`` takes plain BiCGSTAB.  Every
+    Krylov path starts from ``x0`` if given.  A Krylov failure of a
+    linear system or of plain BiCGSTAB raises SolveError rather than
+    falling back to a direct solve of the same size; a nonlinear
+    system that the cycle built from B fails on, which the LU path
+    served at any size, drops that cycle and is factored, as below,
+    with an LU that is not held.  Every other
     system takes the LU path.  A ``target`` above the full-accuracy
     floor 1e-12 ||b||_2 makes a Krylov solve inexact: BiCGSTAB stops
     once ||Bx - b||_2 < target; without one it runs to rtol 1e-12
@@ -1033,8 +1084,8 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
     at most the remaining budget (with B's own LU it stops at its first
     half step: one back-solve).  When the budget runs out short of the
     stopping test, BiCGSTAB breaks down, or a full-accuracy result
-    fails its check, B is factored (by ``precond`` if given, which then
-    holds that LU) and the solve is direct.
+    fails its check, B is factored (by ``precond`` if it holds LUs,
+    which then holds that LU) and the solve is direct.
     The true residual of an inexact x is checked against its target.
     Every other x is checked by its normwise backward error
     ||Bx - b|| / (||B|| ||x|| + ||b||) in the max norm against
@@ -1044,8 +1095,10 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
     unknowns and stored entries (``nnz``) of B, the Krylov iteration
     count (a spent budget's included), the checked
     residual, the stopping ``target`` (None at full accuracy), the
-    ``fill`` of the LU used (None on the Krylov path) and the unknowns
-    per level of the V-cycle (``levels``, None off its path).  A
+    ``fill`` of the LU used (None on the Krylov path), the unknowns
+    per level of the V-cycle, finest first (``levels``), and whether
+    its coarse levels were built for this solve or held from an
+    earlier one (``levels_built``); both are None when no cycle ran.  A
     BiCGSTAB iteration applies the preconditioner twice, or once if it
     stops at its half step, so the count is half the applications,
     rounded up; the budget is charged by it.
@@ -1053,10 +1106,10 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
     B, b, norm = system
     n = B.shape[0]
     krylov = 0
-    fill = sizes = None
+    fill = sizes = built = None
     large = n > KRYLOV_SWITCH
     cycled = large and (dim >= 3 or _scope is None) if linear else \
-        precond is None and dim == 2
+        precond is not None and precond.cycled
     on_krylov = cycled or large and dim >= 3
     if target is not None and target <= 1e-12 * np.linalg.norm(b):
         target = None  # the full-accuracy floor
@@ -1069,44 +1122,74 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
         return float(np.max(np.abs(B @ x - b)) / (scale if scale > 0
                                                    else 1.0))
 
+    def run(apply, rtol, maxiter):
+        """BiCGSTAB from ``x0`` preconditioned by ``apply``: x, its
+        info and the iterations it took, which ``krylov`` adds up."""
+        nonlocal krylov
+        applied = 0
+
+        def counted(v):
+            nonlocal applied
+            applied += 1
+            return apply(v)
+
+        x, info = spla.bicgstab(
+            B, b, x0=x0, rtol=rtol, atol=0.0 if target is None else target,
+            maxiter=maxiter,
+            M=spla.LinearOperator((n, n), matvec=counted, dtype=float))
+        spent = (applied + 1) // 2
+        krylov += spent
+        return x, info, spent
+
+    def stands(x, info):
+        """No breakdown, and a full-accuracy x passes its check."""
+        return info == 0 and (target is not None or
+                              backward_error(x) <= RESIDUAL_CHECK)
+
+    def on_cycle(cycle):
+        """BiCGSTAB preconditioned by ``cycle`` with B as its finest
+        level."""
+        nonlocal sizes
+        sizes = cycle.sizes
+        through = cycle.finest(B)
+        return run(lambda v: cycle.solve(through, v), VCYCLE_RTOL, 2000)
+
     preconditioned = not on_krylov and precond is not None and \
         precond.budget > 0
     x = None
-    if on_krylov or preconditioned:
-        applied = 0
-        cycle = None
-        if cycled:
-            cycle = _VCycle(B, levels())
-            sizes = cycle.sizes
-
-        def apply(v):
-            nonlocal applied
-            applied += 1
-            if preconditioned:
-                return precond.lu.solve(v)
-            return v if cycle is None else cycle.solve(v)
-
-        path = "lu_precond" if preconditioned else \
-            "bicgstab" if cycle is None else "vcycle"
+    if preconditioned:
+        path = "lu_precond"
         # the preconditioner looks the LU up at each application: no
         # reference to it outlives the call, so a factorization below
         # frees it
-        x, info = spla.bicgstab(
-            B, b, x0=x0, rtol=1e-12 if cycle is None else VCYCLE_RTOL,
-            atol=0.0 if target is None else target,
-            maxiter=precond.budget if preconditioned else 2000,
-            M=spla.LinearOperator((n, n), matvec=apply, dtype=float))
-        krylov = (applied + 1) // 2
-        if preconditioned:
-            precond.budget -= krylov
-            fill = precond.lu.fill
-        if preconditioned or cycled and not linear:
-            if info != 0 or target is None and \
-                    not backward_error(x) <= RESIDUAL_CHECK:
-                x = None  # budget spent, breakdown or check failed
-        elif info != 0:
-            raise SolveError(f"BiCGSTAB ({path}) failed on {n} unknowns "
-                             f"(info {info})")
+        x, info, spent = run(lambda v: precond.lu.solve(v), 1e-12,
+                             precond.budget)
+        precond.budget -= spent
+        fill = precond.lu.fill
+        if not stands(x, info):
+            x = None  # budget spent, breakdown or check failed
+    elif cycled:
+        path = "vcycle"
+        held = None if linear or precond.budget <= 0 else precond.cycle
+        if held is not None:
+            built = False
+            x, info, spent = on_cycle(held)
+            precond.budget -= spent
+        if held is None or not stands(x, info):
+            # a held cycle that fails is built again from B before B
+            # is factored; as a factorization's solve, the solve of
+            # the policy it is built from is not charged to it
+            built = True
+            x, info, _ = on_cycle(_VCycle(B, levels()) if linear else
+                                  precond.build(B, levels()))
+            if not linear and not stands(x, info):
+                x = precond.cycle = None  # it failed on its own matrix
+    elif on_krylov:
+        path = "bicgstab"
+        x, info, _ = run(lambda v: v, 1e-12, 2000)
+    if on_krylov and x is not None and info != 0:
+        raise SolveError(f"BiCGSTAB ({path}) failed on {n} unknowns "
+                         f"(info {info})")
     if x is None:
         path = "direct"
         target = None
@@ -1115,7 +1198,7 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
             lu = _scope.factor(B, order)
             if _scope.reused_solves > reused:
                 path = "lu_reuse"
-        elif precond is not None:
+        elif precond is not None and not precond.cycled:
             lu = precond.factor(B, order)
         else:
             lu = _Factor(B, order())
@@ -1134,7 +1217,8 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
     if report is not None:
         report.update(path=path, unknowns=n, nnz=int(B.nnz),
                       krylov_iterations=krylov, residual=res,
-                      target=target, fill=fill, levels=sizes)
+                      target=target, fill=fill, levels=sizes,
+                      levels_built=built)
     return x
 
 
@@ -1178,8 +1262,13 @@ def solve_dirichlet(p, tol=1e-8, start=None, response=None):
     initial linear residual.  A 3-d policy above the switch is solved
     by plain BiCGSTAB.  A 2-d policy of a sign-independent problem
     (``p.sign_independent``) in a solve that asks for no ``response``
-    runs BiCGSTAB preconditioned by a V-cycle of its own matrix; it is
-    factored only if that solve fails, or if it repeats after a
+    runs BiCGSTAB preconditioned by a V-cycle that smooths on its own
+    matrix above coarse levels the loop holds: the first policy builds
+    them, and later policies reuse them until PRECOND_BUDGET Krylov
+    iterations of theirs have been charged to them, after which the
+    policy at hand builds them again; a policy whose solve fails on
+    held levels builds them again too.  Such a policy is factored only
+    if the cycle built from it fails, or if it repeats after a
     full-accuracy solve above tol (the cycle's floor), whose LU the
     loop then holds for its later policies.  Otherwise the
     first policy is factored and solved exactly; a later one runs
@@ -1209,7 +1298,8 @@ def solve_dirichlet(p, tol=1e-8, start=None, response=None):
     the marked nodes, 0 on the rest of the ring) when ``response`` is
     given.  The record lists every policy's linear solve's path,
     unknowns, stored entries, Krylov iterations, checked residual,
-    target and LU fill under ``solves``, and psi's under ``response``.
+    target, LU fill, V-cycle levels and whether they were built for it
+    under ``solves``, and psi's under ``response``.
     Raises SolveError with the residual history if MAX_POLICIES solves
     do not converge or a policy repeats after a full-accuracy solve
     above 10*tol.
@@ -1231,8 +1321,8 @@ def solve_dirichlet(p, tol=1e-8, start=None, response=None):
         r, policy = None, Policy(np.zeros(p.n_interior, dtype=np.int8), None)
     else:
         r, policy = p.evaluate(u, want_policy=True)
-    precond = None if p.linear or p.sign_independent and grid.dim == 2 \
-        and response is None else _Preconditioner()
+    precond = None if p.linear else _Preconditioner(
+        cycled=p.sign_independent and grid.dim == 2 and response is None)
     for _ in range(MAX_POLICIES):
         report = {}
         u[p.int_flat] = _solve_sparse(

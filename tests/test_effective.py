@@ -91,11 +91,14 @@ def test_correction_reports_bump_iterations(sampled_env):
 
 def test_correction_reports_the_bump_solver(sampled_env):
     # under the Laplacian the bump is Pucci+(1, 1), whose policies do
-    # not depend on the sign: every one runs BiCGSTAB with its own
-    # V-cycle, and the correction says so without a factorization
+    # not depend on the sign: every one runs BiCGSTAB with a V-cycle
+    # that smooths on its own matrix above coarse levels held across
+    # policies, and the correction says so, with the builds of those
+    # levels and without a factorization
     c = sampled_env.correction["bump_solver"]
     assert c["paths"] == {"vcycle": sampled_env.correction["bump_iterations"]}
     assert c["factorizations"] == 0
+    assert 1 <= c["hierarchy_builds"] < c["paths"]["vcycle"]
     assert c["krylov_iterations"] >= c["paths"]["vcycle"]
     levels = c["levels"]
     assert len(levels) > 1 and levels[-1] <= fdsolver.COARSEST

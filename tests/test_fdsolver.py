@@ -236,6 +236,7 @@ def test_large_2d_linear_system_takes_the_vcycle(monkeypatch):
     assert p.n_interior == 65_097 and "order" not in vars(p)
     (solve,) = rec["solves"]
     assert solve["path"] == "vcycle" and solve["fill"] is None
+    assert solve["levels_built"] is True
     assert 0 < solve["krylov_iterations"] < 100
     assert solve["target"] is None and solve["residual"] <= 1e-10
     levels = solve["levels"]
@@ -266,6 +267,7 @@ def test_large_2d_policy_is_still_factored(monkeypatch):
     assert p.n_interior > fdsolver.KRYLOV_SWITCH
     assert report["path"] == "direct" and report["fill"] > p.n_interior
     assert report["levels"] is None and "aggregates" not in vars(p)
+    assert report["levels_built"] is None
 
 
 def test_large_2d_linear_system_in_a_scope_is_factored():
@@ -421,6 +423,7 @@ def test_record_names_each_solve_path():
             assert s["target"] is None
             assert 0.0 <= s["residual"] <= 1e-14
         assert s["fill"] >= q.n_interior and s["levels"] is None
+        assert s["levels_built"] is None
     assert recs[0]["solves"][0]["fill"] == recs[1]["solves"][0]["fill"]
 
 
@@ -993,7 +996,8 @@ def test_sign_independent_policies_take_the_vcycle(monkeypatch,
                                                    diag_bellman, kind):
     # every member of Pucci+/-(1, 1) and of a Bellman family has one
     # slope for both signs: each 2-d Howard policy runs BiCGSTAB with a
-    # V-cycle of its own matrix, and nothing is factored or ordered
+    # V-cycle that smooths on its own matrix, and nothing is factored
+    # or ordered
     op = {"pucci_plus": pucci_plus(1.0, 1.0),
           "pucci_minus": pucci_minus(1.0, 1.0),
           "bellman": diag_bellman("sup")}[kind]
@@ -1033,6 +1037,127 @@ def test_vcycle_howard_matches_a_factored_solve(monkeypatch, diag_bellman,
     # C = diam^2 / (2 lam), the comparison constant
     C = 1.8 ** 2 / 2.0
     assert np.max(np.abs(cycled.values - factored.values)) <= 2 * C * tol
+
+
+def _counted_builds(monkeypatch):
+    # every V-cycle built, by recording each _VCycle made
+    built = []
+
+    class Counted(fdsolver._VCycle):
+        def __init__(self, B, aggregates):
+            super().__init__(B, aggregates)
+            built.append(B.shape[0])
+
+    monkeypatch.setattr(fdsolver, "_VCycle", Counted)
+    return built
+
+
+def test_held_vcycle_builds_within_the_budget(monkeypatch):
+    # a 2-d Pucci+(1, 1) bump holds one V-cycle's coarse levels across
+    # its policies: a cycle is built again only once PRECOND_BUDGET
+    # iterations of later policies have been charged to it, so the
+    # builds are far fewer than the policies
+    built = _counted_builds(monkeypatch)
+    monkeypatch.setattr(fdsolver, "_Factor", _refused)
+    p = _bump2d(pucci_plus(1.0, 1.0))
+    _, rec = solve_dirichlet(p)
+    krylov = sum(s["krylov_iterations"] for s in rec["solves"])
+    assert rec["converged"] and {s["path"] for s in rec["solves"]} == \
+        {"vcycle"}
+    assert len(built) == sum(s["levels_built"] for s in rec["solves"])
+    assert rec["solves"][0]["levels_built"] is True
+    assert len(built) <= math.ceil(krylov / fdsolver.PRECOND_BUDGET) + 1
+    assert len(built) < rec["iterations"] / 2
+
+
+def test_held_vcycle_matches_a_cycle_per_policy(monkeypatch):
+    # holding the coarse levels changes the preconditioner, not the
+    # problem: the field is within 2 C tol of a solve that builds a
+    # cycle for every policy (no budget)
+    tol = 1e-8
+    held, rec = solve_dirichlet(_bump2d(pucci_plus(1.0, 1.0)), tol=tol)
+    monkeypatch.setattr(fdsolver, "PRECOND_BUDGET", 0)
+    built = _counted_builds(monkeypatch)
+    fresh, ref = solve_dirichlet(_bump2d(pucci_plus(1.0, 1.0)), tol=tol)
+    assert len(built) == ref["iterations"]
+    assert all(s["levels_built"] for s in ref["solves"])
+    assert not all(s["levels_built"] for s in rec["solves"])
+    for r in (rec, ref):
+        assert r["converged"] and r["residual_history"][-1] <= tol
+    # C = diam^2 / (2 lam), the comparison constant
+    C = 1.8 ** 2 / 2.0
+    assert np.max(np.abs(held.values - fresh.values)) <= 2 * C * tol
+
+
+def test_every_vcycle_smooths_on_its_own_policy(monkeypatch):
+    # a held cycle's finest level is the matrix of the policy at hand,
+    # never the matrix of the policy the cycle was built from
+    assembled, finest, cycles = [], [], []
+    assemble = fdsolver.DiscreteProblem.assemble
+
+    def recorded(self, policy):
+        system = assemble(self, policy)
+        assembled.append(system.B)
+        return system
+
+    class Recorder(fdsolver._VCycle):
+        def finest(self, B):
+            levels = super().finest(B)
+            finest.append(levels[0][0])
+            cycles.append(self)
+            return levels
+
+    monkeypatch.setattr(fdsolver.DiscreteProblem, "assemble", recorded)
+    monkeypatch.setattr(fdsolver, "_VCycle", Recorder)
+    _, rec = solve_dirichlet(_bump2d(pucci_plus(1.0, 1.0)))
+    assert {s["path"] for s in rec["solves"]} == {"vcycle"}
+    assert len(finest) == len(assembled) == rec["iterations"]
+    assert all(f is B for f, B in zip(finest, assembled))
+    # some cycles served later policies
+    assert len({id(c) for c in cycles}) < len(cycles)
+
+
+def test_held_vcycle_keeps_no_earlier_policy_matrix(monkeypatch):
+    # the held cycle keeps its coarse levels only: when a policy's
+    # matrix is assembled, no earlier policy's matrix is alive
+    import weakref
+
+    live = []
+    matrix = fdsolver.DiscreteProblem._matrix
+
+    def watched(self, policy):
+        assert not [r for r in live if r() is not None]
+        B = matrix(self, policy)
+        live.append(weakref.ref(B))
+        return B
+
+    monkeypatch.setattr(fdsolver.DiscreteProblem, "_matrix", watched)
+    _, rec = solve_dirichlet(_bump2d(pucci_plus(1.0, 1.0)))
+    assert len(live) == rec["iterations"] > 2
+    assert not all(s["levels_built"] for s in rec["solves"])
+
+
+def test_failed_held_vcycle_is_rebuilt_before_any_lu(monkeypatch):
+    # the second policy starts on the cycle built from the first; when
+    # that solve fails, the cycle is built again from the second
+    # policy's matrix, which serves it, and nothing is factored
+    bicgstab = fdsolver.spla.bicgstab
+    calls = []
+
+    def failing(B, b, **kwargs):
+        x, info = bicgstab(B, b, **kwargs)
+        calls.append(info)
+        return (x, 2000) if len(calls) == 2 else (x, info)
+
+    built = _counted_builds(monkeypatch)
+    monkeypatch.setattr(fdsolver.spla, "bicgstab", failing)
+    monkeypatch.setattr(fdsolver, "_Factor", _refused)
+    _, rec = solve_dirichlet(_bump2d(pucci_plus(1.0, 1.0)))
+    assert {s["path"] for s in rec["solves"]} == {"vcycle"}
+    assert len(calls) == rec["iterations"] + 1
+    assert len(built) >= 2
+    assert [s["levels_built"] for s in rec["solves"][:2]] == [True, True]
+    assert rec["converged"] and _within_targets(rec)
 
 
 def test_sign_dependent_policies_keep_the_lu(monkeypatch, bump2d):
@@ -1215,6 +1340,33 @@ def test_same_policy_compares_the_chosen_slopes():
 # (73,447 unknowns): 332-335 B per interior unknown, 707 with an int64
 # neighbour dict and per-direction weight arrays
 HOWARD_3D_BYTES = 400
+
+
+@pytest.mark.parametrize("dim,h", [(2, 0.00625), (3, 0.01)])
+def test_discretize_classifies_in_slabs(monkeypatch, dim, h):
+    # the interior and its points are those of the whole bounding grid,
+    # bit for bit, while the domain sees at most 96^2 points (or one
+    # plane of the first axis) at a time
+    dom = DomainSpec.disk((0.0,) * dim, 0.9 if dim == 2 else 0.26)
+    source = lambda x: np.sin(3.0 * x).sum(axis=-1)
+    seen = []
+    sdf = DomainSpec.sdf
+
+    def counted(self, x):
+        seen.append(int(np.prod(np.shape(x)[:-1])))
+        return sdf(self, x)
+
+    with monkeypatch.context() as m:
+        m.setattr(DomainSpec, "sdf", counted)
+        p = discretize(pucci_plus(1.0, 2.0, dim), dom, h, source=source)
+    shape = p.grid.shape
+    axes = [p.grid.origin[i] + h * np.arange(s) for i, s in enumerate(shape)]
+    X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    interior = dom.sdf(X) < -1e-12
+    np.testing.assert_array_equal(p.int_flat, np.flatnonzero(interior))
+    np.testing.assert_array_equal(p.f, source(X[interior]))
+    assert len(seen) > 2 and sum(seen) == X[..., 0].size
+    assert max(seen) <= max(96 ** 2, int(np.prod(shape[1:])))
 
 
 def test_3d_howard_solve_memory_per_unknown():
