@@ -15,47 +15,15 @@ principle holds.
 
 Masked Dirichlet grids and the periodic cell problem on a torus are the
 same DiscreteProblem, solved by Howard policy iteration: freeze the
-optimizing member at each node (a compact policy: the member's index
-and, for sign-dependent slopes, one sign bit per direction), solve the
-resulting linear system, which stores only that member's stencil and
-is assembled straight into CSR from the policy and one int32
-neighbour table (a sparse LU, or BiCGSTAB above the Krylov switch; every
-solve is checked by its residual), and re-optimize until the nonlinear
-residual is below tolerance.  Every direct solve factors its matrix
-under one nested-dissection order of the grid's unknowns (George
-1973), computed once per problem and only when it first factors.
-Above the switch a linear system runs BiCGSTAB preconditioned by a
-plain-aggregation V-cycle of its matrix (Braess 1995; Vanek, Mandel
-and Brezina 1996), whose aggregates are built once per problem and
-only when it first needs them; in 2-d a linear system inside a
-``factor_reuse`` scope keeps the LU the scope reuses.
-Howard is inexact (Dembo-Eisenstat-Steihaug forcing): each BiCGSTAB
-starts from the current iterate and stops at ETA times its nonlinear
-residual, and the loop accepts only after a full-accuracy solve.
-A 2-d sign-independent family (every member's two slopes one value:
-Pucci with lam = Lam, a Bellman family) runs each policy, at any size,
-by BiCGSTAB with a V-cycle whose finest level is that policy's matrix,
-unless the solve asks for its linear response: under Pucci(1, 1) the
-frames tie to O(h^2), so the policy moves a little at each of many
-steps and an LU would serve few of them, while a corrector strip's
-response is one back-solve of the LU the loop holds.  The cycle's
-coarse levels are held as the LU is: built from the policy at hand,
-they serve later policies until those have been charged
-PRECOND_BUDGET iterations, and the policy at hand then builds them
-again; a held cycle that fails is built again from the policy at hand.
-A policy the cycle built from it fails on, or leaves above tol at its
-floor, is factored.  Every other policy below
-the switch, 3-d sign-independent ones too, keeps the held LU: the
-first policy is factored, and BiCGSTAB is preconditioned by the LU of
-the last factored policy; each factorization buys PRECOND_BUDGET
-iterations, after which the policy at hand is factored and solved
-exactly.  A 3-d policy above the switch runs plain BiCGSTAB.  A linear
-problem assembles its matrix once.
-Inside a ``factor_reuse`` scope the sparse LU of the last linear
-system is kept, and a later linear system with the same matrix is
-served by a back-solve; the scope also holds the last problem built
-by ``scoped_problem``, which a later caller with an equal key and
-the same discrete data reuses.
+optimizing member at each node (a compact ``Policy``), solve the
+resulting linear system, assembled straight into CSR, and re-optimize
+until the nonlinear residual is below tolerance.  Each linear system
+takes the route of ``_route``'s table (a sparse LU under a nested-
+dissection order, George 1973; BiCGSTAB with a plain-aggregation
+V-cycle, Braess 1995 and Vanek, Mandel and Brezina 1996; or plain
+BiCGSTAB) and is checked by its residual.  Howard is inexact
+(Dembo-Eisenstat-Steihaug forcing).  A ``factor_reuse`` scope keeps the
+last linear system's LU and the last ``scoped_problem`` for later callers.
 """
 
 import contextlib
@@ -120,17 +88,9 @@ def frames_for(dim, order):
     raise NotImplementedError("only 2-d and 3-d grids supported")
 
 
-def _axis_dir(dim, i):
-    d = [0] * dim
-    d[i] = 1
-    return tuple(d)
-
-
-def _diag_dir(dim, i, j, sign):
-    d = [0] * dim
-    d[i] = 1
-    d[j] = sign
-    return tuple(d)
+def _dir(dim, i, j=None, sign=1):
+    """The integer direction e_i, or e_i + sign e_j."""
+    return tuple(1 if k == i else sign if k == j else 0 for k in range(dim))
 
 
 # a cross term or negative axis weight beyond this fails the certificate
@@ -162,7 +122,7 @@ def monotone_weights(a, dim, order=2, where=None):
         for j in range(dim):
             if j != i:
                 w -= np.abs(a[:, i, j])
-        weights[_axis_dir(dim, i)] = w
+        weights[_dir(dim, i)] = w
     for i in range(dim):
         for j in range(i + 1, dim):
             off = a[:, i, j]
@@ -175,10 +135,10 @@ def monotone_weights(a, dim, order=2, where=None):
                         f"cross term a[{i}][{j}] = {off[k]:g} at {loc} "
                         "needs stencil_order >= 2")
                 continue
-            weights[_diag_dir(dim, i, j, +1)] = 2.0 * np.maximum(off, 0.0)
-            weights[_diag_dir(dim, i, j, -1)] = 2.0 * np.maximum(-off, 0.0)
+            weights[_dir(dim, i, j, +1)] = 2.0 * np.maximum(off, 0.0)
+            weights[_dir(dim, i, j, -1)] = 2.0 * np.maximum(-off, 0.0)
     for i in range(dim):
-        w = weights[_axis_dir(dim, i)]
+        w = weights[_dir(dim, i)]
         bad = w < -CERTIFICATE_TOL
         if np.any(bad):
             k = int(np.argmax(bad))
@@ -186,7 +146,7 @@ def monotone_weights(a, dim, order=2, where=None):
             raise CertificateError(
                 f"negative axis weight {w[k]:g} on e_{i + 1} at {loc} "
                 "(cross-term dominance violated)")
-        weights[_axis_dir(dim, i)] = np.maximum(w, 0.0)
+        weights[_dir(dim, i)] = np.maximum(w, 0.0)
     return {d: w for d, w in weights.items() if np.any(w > 0) or sum(
         abs(c) for c in d) == 1}
 
@@ -280,10 +240,9 @@ class GridField:
 
 
 class LinearSystem(NamedTuple):
-    """B x = b for the interior unknowns of one frozen policy: B = -L
-    (an M-matrix) in canonical CSR, and ``norm`` its max norm, or None
-    until a backward-error check needs it (most inexact Howard solves
-    never do)."""
+    """B x = b for the interior unknowns of one frozen policy: B = -L (an
+    M-matrix) in canonical CSR, and ``norm`` its max norm, or None until
+    a backward-error check needs it (most inexact Howard solves never do)."""
     B: sparse.csr_matrix
     b: np.ndarray
     norm: Optional[float]
@@ -312,14 +271,13 @@ class DiscreteProblem:
     sup or inf according to ``mode``.  ``arms`` is the one neighbour
     table, int32 of shape (2 len(dirs), n): row 2j holds each interior
     node's neighbour along +dirs[j], row 2j + 1 along -dirs[j], as its
-    unknown index below n, or as n + i for the ring node whose flat grid
-    index is ``ring_flat[i]``.  A Howard solve keeps a compact
-    ``Policy`` per iterate, not a weight array per direction, and
-    builds each system straight from it.  A Dirichlet problem has
-    ``shift`` None and ``delta`` 0; the periodic cell problem sets the
-    per-direction shift m_d = unit(d)^T M unit(d) and the zero-order
-    coefficient delta, so that -A of the assembled cell system has row
-    sums +delta and is an M-matrix.
+    unknown index below n, or as n + i for the ring node whose flat
+    grid index is ``ring_flat[i]``.  Each system is built straight from
+    a compact ``Policy``, not a weight array per direction.  A
+    Dirichlet problem has ``shift`` None and ``delta`` 0; the periodic
+    cell problem sets the per-direction shift m_d = unit(d)^T M unit(d)
+    and the zero-order coefficient delta, so that -A of the assembled
+    cell system has row sums +delta and is an M-matrix.
     """
     grid: GridField
     f: np.ndarray
@@ -362,13 +320,12 @@ class DiscreteProblem:
 
     @functools.cached_property
     def _flips(self):
-        """Per member, the bits of ``policy_dirs`` whose slopes depend on
-        the sign (None for a sign-independent family)."""
-        if self.sign_independent:
-            return None
+        """Per member, the bits of ``policy_dirs`` along which its two
+        slopes differ in value: the one reading of sign dependence.  By
+        value, not by identity, which pickling does not keep."""
         bits = np.uint8 if len(self.policy_dirs) <= 8 else np.uint16
         return np.array([sum(1 << j for j, d in enumerate(self.policy_dirs)
-                             if d in mem and mem[d][0] is not mem[d][1])
+                             if d in mem and np.any(mem[d][0] != mem[d][1]))
                          for mem in self.members], dtype=bits)
 
     def _extremum(self, d2, want_policy):
@@ -383,12 +340,13 @@ class DiscreteProblem:
         F = None
         for m, mem in enumerate(self.members):
             tot = np.zeros(n)
+            flips = self._flips[m]
             for d, (up, down) in mem.items():
                 # sign-dependent slopes are scalars (Pucci): a two-entry
                 # table lookup, several times faster than np.where, by an
                 # intp index (take converts any other far more slowly)
-                c = up if up is down else np.array([down, up]).take(
-                    ge[d].astype(np.intp))
+                c = np.array([down, up]).take(ge[d].astype(np.intp)) \
+                    if flips >> self.policy_dirs.index(d) & 1 else up
                 tot += c * d2[d]
             if F is None:
                 F = tot
@@ -420,11 +378,9 @@ class DiscreteProblem:
 
     @functools.cached_property
     def sign_independent(self):
-        """Every member's two slopes are one value (``_family`` emits
-        one object for both): Pucci with lam = Lam, a linear operator or
-        a Bellman family.  Its 2-d Howard policies take the V-cycle."""
-        return all(up is down for mem in self.members
-                   for up, down in mem.values())
+        """Every member's two slopes are one value (no ``_flips``):
+        Pucci with lam = Lam, a linear operator or a Bellman family."""
+        return not self._flips.any()
 
     @functools.cached_property
     def linear(self):
@@ -484,10 +440,10 @@ class DiscreteProblem:
         """Member m's slopes along d over ``scale`` at the nodes ``rows``
         (an index array or a slice), all of which chose m."""
         up, down = self.members[m][d]
-        if up is not down:
+        j = self.policy_dirs.index(d)
+        if self._flips[m] >> j & 1:
             # sign-dependent slopes are scalars (Pucci): a two-entry
             # table lookup by the sign bit
-            j = self.policy_dirs.index(d)
             bit = np.bitwise_and(policy.signs[rows] >> j, 1, dtype=np.intp)
             return np.array([down / scale, up / scale]).take(bit)
         if np.ndim(up):
@@ -702,17 +658,14 @@ def _family(op, frames, stencil_order, y_nodes, where):
     sum_d c_d(Delta_d) Delta_d, each member mapping a direction to its
     slopes (for Delta_d >= 0, for Delta_d < 0).
 
-    Pucci operators have one member per frame, with one slope object
-    for both signs when lam == Lam; linear and Bellman members carry
-    one weight array for both signs.  ``y_nodes()`` gives the
+    Pucci operators have one member per frame, whose slopes are one
+    value when lam == Lam; linear and Bellman members carry one weight
+    array for both signs.  ``y_nodes()`` gives the
     fast-variable points of the interior nodes.
     """
     if op.kind in ("pucci_plus", "pucci_minus"):
         plus = op.kind == "pucci_plus"
-        # lam == Lam gives one object for both signs, whatever objects
-        # the two floats are: sign independence is read by identity
-        slopes = (op.lam, op.lam) if op.lam == op.Lam else \
-            (op.Lam, op.lam) if plus else (op.lam, op.Lam)
+        slopes = (op.Lam, op.lam) if plus else (op.lam, op.Lam)
         return [{d: slopes for d in f} for f in frames], \
             ("sup" if plus else "inf")
     linear = [op] if op.kind == "linear" else list(op.members)
@@ -836,13 +789,11 @@ def _same_entries(M, B):
 class _Factor:
     """The sparse LU of the M-matrix B (canonical CSR) under the
     elimination order ``order``; ``solve`` works in B's numbering and
-    ``fill`` is the number of entries SuperLU stores for L and U.
-
-    The CSR P B P^T, transposed, is the CSC (P B P^T)^T without a
-    copy.  SuperLU factors it in the given order (NATURAL) on its
-    diagonal pivots, as an M-matrix needs no pivoting, and ``solve``
-    applies the factors transposed.  The backward-error check in
-    ``_solve_sparse`` guards every solve.
+    ``fill`` is the number of entries SuperLU stores for L and U.  The
+    CSR P B P^T, transposed, is the CSC (P B P^T)^T without a copy.
+    SuperLU factors it in the given order (NATURAL) on its diagonal
+    pivots, as an M-matrix needs no pivoting, and ``solve`` applies the
+    factors transposed; ``_solve_sparse`` checks every solve.
     """
 
     def __init__(self, B, order):
@@ -863,27 +814,23 @@ class FactorScope:
     problem (see ``scoped_problem``) and their counts."""
 
     def __init__(self):
-        self.matrix = None
-        self.lu = None
-        self.factorizations = 0
-        self.reused_solves = 0
-        self.problem_key = self.problem = None
-        self.problems_built = 0
-        self.problems_reused = 0
+        self.matrix = self.lu = self.problem_key = self.problem = None
+        self.factorizations = self.reused_solves = 0
+        self.problems_built = self.problems_reused = 0
 
     def factor(self, B, order):
-        """The retained LU when the CSR ``B`` is its matrix (the same
-        object, or equal entry for entry); otherwise drop it and factor
-        ``B`` under ``order()``."""
+        """The retained LU and True when the CSR ``B`` is its matrix
+        (the same object, or equal entry for entry); otherwise drop it,
+        factor ``B`` under ``order()``, and that LU and False."""
         M = self.matrix
         if M is B or M is not None and _same_entries(M, B):
             self.reused_solves += 1
-        else:
-            self.matrix = self.lu = None
-            self.lu = _Factor(B, order())
-            self.matrix = B
-            self.factorizations += 1
-        return self.lu
+            return self.lu, True
+        self.matrix = self.lu = None
+        self.lu = _Factor(B, order())
+        self.matrix = B
+        self.factorizations += 1
+        return self.lu, False
 
     def counts(self):
         return {"factorizations": self.factorizations,
@@ -912,23 +859,20 @@ def factor_reuse():
     try:
         yield _scope
     finally:
-        _scope.matrix = _scope.lu = None
-        _scope.problem_key = _scope.problem = None
+        _scope.matrix = _scope.lu = _scope.problem_key = _scope.problem = None
         _scope = None
 
 
 def scoped_problem(key, build, fits):
     """``build()``, or inside a ``factor_reuse`` scope the problem the
-    scope holds under an equal ``key`` when ``fits(problem)``.
-
-    The scope holds one problem at a time: the last one it built under
-    a key that is not None and that fits.  ``fits`` says whether a
-    problem serves the caller as it is, apart from what the caller
-    resets (its ring values, say), so equal keys alone never share one.
-    The grid, neighbour tables, cached arms, elimination order and a
-    linear problem's assembled matrix carry over, so that matrix meets
-    the scope's LU as the same object.  The scope counts every problem
-    built and reused inside it.
+    scope holds under an equal ``key`` when ``fits(problem)``: the last
+    one it built under a key that is not None and that fits.  ``fits``
+    says whether a problem serves the caller as it is, apart from what
+    the caller resets (its ring values, say), so equal keys alone never
+    share one.  The grid, neighbour tables, cached arms, elimination
+    order and a linear problem's assembled matrix carry over, so that
+    matrix meets the scope's LU as the same object.  The scope counts
+    every problem built and reused inside it.
     """
     s = _scope
     if s is None:
@@ -944,40 +888,32 @@ def scoped_problem(key, build, fits):
     return problem
 
 
-class _Preconditioner:
-    """What one Howard solve holds across its policies: the LU of the
-    last policy it factored or, if ``cycled``, the coarse levels of the
-    last V-cycle it built (``cycle``), and the preconditioned BiCGSTAB
-    iterations they have left: each factorization or build buys
-    PRECOND_BUDGET of them, shared by the solves it serves."""
+class _Held:
+    """The preconditioner a held route of ``_route`` keeps across one
+    Howard solve's policies (``held``): the LU of the last policy it
+    factored or, for "held_cycle", the coarse levels of the last V-cycle
+    it built; and the BiCGSTAB iterations it has left (``budget``),
+    PRECOND_BUDGET from each build.  A policy's solve runs on it while
+    budget is left, an LU's capped at that budget (with the policy's own
+    LU it stops at its first half step: one back-solve) and a cycle's at
+    2000 iterations, and is charged what it took.  A policy whose solve
+    fails rebuilds it, and a rebuilt cycle's solve is not charged."""
 
-    def __init__(self, cycled=False):
-        self.cycled = cycled
-        self.lu = self.cycle = None
-        self.budget = 0
+    def __init__(self, route):
+        self.cycle, self.held, self.budget = route == "held_cycle", None, 0
 
-    def factor(self, B, order):
-        """Drop the held LU, then factor ``B`` under ``order()``: one
-        LU is alive at a time."""
-        self.lu = None
-        self.lu = _Factor(B, order())
+    def rebuild(self, B, order, levels):
+        """Drop what is held, then build it from ``B``: an LU under
+        ``order()`` or a cycle over ``levels()``.  One is alive at a
+        time."""
+        self.held = None
+        self.held = _VCycle(B, levels()) if self.cycle else \
+            _Factor(B, order())
         self.budget = PRECOND_BUDGET
-        return self.lu
-
-    def build(self, B, aggregates):
-        """Drop the held cycle, then build one from ``B``: one cycle is
-        alive at a time."""
-        self.cycle = None
-        self.cycle = _VCycle(B, aggregates)
-        self.budget = PRECOND_BUDGET
-        return self.cycle
+        return self.held
 
 
-# systems of more unknowns take BiCGSTAB: every one in 3-d, and in 2-d a
-# linear one outside a factor_reuse scope (inside one, the LU serves
-# every later solve by a back-solve: 96 V-cycle solves of criterion 8's
-# 98,304-unknown Laplace strips took 25 s against 10 s).  A 2-d sign-
-# independent policy takes the V-cycle below it too
+# ``large`` in the table of ``_route``
 KRYLOV_SWITCH = 60_000
 # the V-cycle coarsens down to at most this many unknowns, which splu
 # solves, and smooths by one damped-Jacobi sweep of this weight before
@@ -992,23 +928,20 @@ VCYCLE_RTOL = 1e-14
 
 class _VCycle:
     """The coarse levels of one plain-aggregation V-cycle built from the
-    M-matrix B, a fixed linear preconditioner for BiCGSTAB (Braess
-    1995; Vanek, Mandel and Brezina, Computing 1996).
-
-    Level k + 1 is the Galerkin product P^T A_k P, where P is the
-    0/1 prolongation that copies each aggregate's value to its unknowns
+    M-matrix B, a fixed linear preconditioner for BiCGSTAB.  Level k + 1
+    is the Galerkin product P^T A_k P, where P is the 0/1 prolongation
+    that copies each aggregate's value to its unknowns
     (``DiscreteProblem.aggregates``): the sum of A_k's entries between
     two aggregates.  Summing an M-matrix's rows and columns over
     aggregates leaves an M-matrix, so every level is nonsingular and
-    diagonally positive.  ``first`` holds the finest level's
-    aggregates (None when the coarsest level is the finest), ``levels``
-    every level between the finest and the coarsest as (A_k, Jacobi
-    weights, aggregates), and ``coarsest`` the splu of the last.  The
-    finest level's matrix is not held:
-    a solve smooths on its own matrix (``finest``), so a cycle built
-    from one Howard policy's matrix serves a later policy without
-    keeping the earlier one alive.  ``sizes`` lists the unknowns per
-    level, finest first.
+    diagonally positive.  ``first`` holds the finest level's aggregates
+    (None when the coarsest level is the finest), ``levels`` every level
+    between the finest and the coarsest as (A_k, Jacobi weights,
+    aggregates), and ``coarsest`` the splu of the last.  The finest
+    level's matrix is not held: a solve smooths on its own matrix
+    (``finest``), so a cycle built from one Howard policy's matrix
+    serves a later policy without keeping the earlier one alive.
+    ``sizes`` lists the unknowns per level, finest first.
     """
 
     def __init__(self, B, aggregates):
@@ -1046,71 +979,73 @@ class _VCycle:
         return x
 
 
-def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
-                  report=None, precond=None, levels=None):
-    """Solve the assembled system B x = b (B = -L, an M-matrix).
+def _route(n, dim, linear, sign_independent, scoped, response):
+    """The route of every linear solve of one ``solve_dirichlet`` call,
+    by the problem's ``n`` unknowns and ``dim``, whether it is
+    ``linear`` or ``sign_independent``, whether the call is ``scoped``
+    (inside ``factor_reuse``) and whether it asks for its ``response``.
+    The one route table (B the matrix, large meaning n > KRYLOV_SWITCH):
 
-    A direct solve factors B under the elimination order ``order()``,
-    called only when B is factored, so the Krylov path never builds
-    it.  A ``linear`` system (its matrix does not depend on the
-    iterate) solved directly inside a ``factor_reuse`` scope goes
-    through the scope's retained LU.  BiCGSTAB preconditioned by a
-    plain-aggregation V-cycle whose finest level is B (``_VCycle`` over
-    the aggregates ``levels()``, called only when one is built) serves
-    a linear system above the Krylov switch, more than KRYLOV_SWITCH
-    unknowns, in 3-d, and in 2-d outside a ``factor_reuse`` scope, with
-    a cycle built from B; and a nonlinear system whose ``precond`` is
-    ``cycled``, at any size (``solve_dirichlet`` gives such a one to a
-    2-d sign-independent problem whose solve asks for no response).
-    That ``precond`` holds the coarse levels of the last cycle it
-    built, with a budget as an LU's below: while budget is left, the
-    solve runs on them and its iterations are charged to it.
-    Otherwise, or when that solve fails or leaves a full-accuracy x
-    that fails its check, a cycle is built from B and held, and its
-    solve of B is not charged.  A 3-d nonlinear system above the
-    switch with any other ``precond`` takes plain BiCGSTAB.  Every
-    Krylov path starts from ``x0`` if given.  A Krylov failure of a
-    linear system or of plain BiCGSTAB raises SolveError rather than
-    falling back to a direct solve of the same size; a nonlinear
-    system that the cycle built from B fails on, which the LU path
-    served at any size, drops that cycle and is factored, as below,
-    with an LU that is not held.  Every other
-    system takes the LU path.  A ``target`` above the full-accuracy
-    floor 1e-12 ||b||_2 makes a Krylov solve inexact: BiCGSTAB stops
-    once ||Bx - b||_2 < target; without one it runs to rtol 1e-12
-    (VCYCLE_RTOL with the V-cycle).  Off the Krylov path the same
-    holds when ``precond`` (a ``_Preconditioner``) holds an LU with
-    budget left: BiCGSTAB from ``x0``, preconditioned by that LU, runs
-    at most the remaining budget (with B's own LU it stops at its first
-    half step: one back-solve).  When the budget runs out short of the
-    stopping test, BiCGSTAB breaks down, or a full-accuracy result
-    fails its check, B is factored (by ``precond`` if it holds LUs,
-    which then holds that LU) and the solve is direct.
-    The true residual of an inexact x is checked against its target.
-    Every other x is checked by its normwise backward error
-    ||Bx - b|| / (||B|| ||x|| + ||b||) in the max norm against
-    RESIDUAL_CHECK.  A failed check raises SolveError.
-    ``report``, if given, receives the path taken (``direct``,
-    ``lu_reuse``, ``lu_precond``, ``vcycle`` or ``bicgstab``), the
-    unknowns and stored entries (``nnz``) of B, the Krylov iteration
-    count (a spent budget's included), the checked
-    residual, the stopping ``target`` (None at full accuracy), the
-    ``fill`` of the LU used (None on the Krylov path), the unknowns
-    per level of the V-cycle, finest first (``levels``), and whether
-    its coarse levels were built for this solve or held from an
-    earlier one (``levels_built``); both are None when no cycle ran.  A
-    BiCGSTAB iteration applies the preconditioner twice, or once if it
-    stops at its half step, so the count is half the applications,
-    rounded up; the budget is charged by it.
+    =====================  ==========  ================================
+    problem                route       solver (the paths reported)
+    =====================  ==========  ================================
+    linear, large, in 3-d  cycle       a V-cycle built from B (vcycle)
+    or outside a scope
+    linear, in a scope     scope_lu    the scope's LU (direct, lu_reuse)
+    linear, otherwise      lu          an LU of B (direct)
+    nonlinear, 2-d, sign-  held_cycle  the held V-cycle (vcycle); if a
+    independent, asking                cycle built from B fails, an LU
+    for no response                    of B, not held (direct)
+    nonlinear, large, 3-d  bicgstab    none: plain BiCGSTAB (bicgstab)
+    nonlinear, otherwise   held_lu     the held LU (lu_precond), or B's
+                                       LU, then held (direct)
+    =====================  ==========  ================================
+
+    A V-cycle or a held LU preconditions BiCGSTAB; the scope's LU is
+    factored unless B is its matrix, and solves by a back-solve.
+
+    Why (measured in the README): sign-independent members tie to
+    O(h^2), so a policy moves a little at each of many steps and a held
+    LU would serve few, while a strip's response is one back-solve.
+    """
+    large = n > KRYLOV_SWITCH
+    if linear:
+        if large and (dim >= 3 or not scoped):
+            return "cycle"
+        return "scope_lu" if scoped else "lu"
+    if dim == 2 and sign_independent and not response:
+        return "held_cycle"
+    return "bicgstab" if large and dim >= 3 else "held_lu"
+
+
+def _solve_sparse(system, route, order, levels, x0=None, target=None,
+                  report=None):
+    """Solve the assembled system B x = b (B = -L, an M-matrix) on
+    ``route``, a route of ``_route``, or for a held one its ``_Held``.
+
+    ``order()`` gives an LU's elimination order and ``levels()`` a
+    V-cycle's aggregates, each called only when one is built.  Every
+    Krylov solve starts from ``x0`` if given, and stops at rtol 1e-12
+    (VCYCLE_RTOL with a V-cycle) or, given a ``target`` above 1e-12
+    ||b||_2, once ||Bx - b||_2 < target.  A BiCGSTAB failure off a held
+    route raises SolveError, with no fallback to a direct solve of that
+    size.  An inexact x is checked by its true residual against its
+    target, any other by its normwise backward error ||Bx - b|| /
+    (||B|| ||x|| + ||b||) in the max norm against RESIDUAL_CHECK; a
+    failed check raises SolveError.  ``report``, if given, receives the
+    ``path`` taken, the ``unknowns`` and ``nnz`` of B, the
+    ``krylov_iterations`` (a spent budget's too: half the
+    preconditioner's applications, rounded up, as an iteration applies
+    it twice, or once if it stops at its half step), the checked
+    ``residual``, the stopping ``target`` (None at full accuracy), the
+    ``fill`` of the LU used, the V-cycle's unknowns per level, finest
+    first (``levels``), and whether its coarse levels were built for
+    this solve (``levels_built``); each is None where it does not apply.
     """
     B, b, norm = system
     n = B.shape[0]
     krylov = 0
     fill = sizes = built = None
-    large = n > KRYLOV_SWITCH
-    cycled = large and (dim >= 3 or _scope is None) if linear else \
-        precond is not None and precond.cycled
-    on_krylov = cycled or large and dim >= 3
     if target is not None and target <= 1e-12 * np.linalg.norm(b):
         target = None  # the full-accuracy floor
 
@@ -1122,16 +1057,23 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
         return float(np.max(np.abs(B @ x - b)) / (scale if scale > 0
                                                    else 1.0))
 
-    def run(apply, rtol, maxiter):
-        """BiCGSTAB from ``x0`` preconditioned by ``apply``: x, its
-        info and the iterations it took, which ``krylov`` adds up."""
-        nonlocal krylov
-        applied = 0
+    def run(lu=None, cycle=None, maxiter=2000, fresh=False):
+        """BiCGSTAB from ``x0`` preconditioned by the ``lu``, or by the
+        V-cycle ``cycle`` over B (to VCYCLE_RTOL; built for this solve
+        if ``fresh``), or by neither: x, its info and the iterations it
+        took, which ``krylov`` adds up."""
+        nonlocal krylov, fill, sizes, built
+        rtol, apply, applied = 1e-12, None, 0
+        if lu is not None:
+            fill, apply = lu.fill, lu.solve
+        if cycle is not None:
+            rtol, sizes, built = VCYCLE_RTOL, cycle.sizes, fresh
+            apply = functools.partial(cycle.solve, cycle.finest(B))
 
         def counted(v):
             nonlocal applied
             applied += 1
-            return apply(v)
+            return v if apply is None else apply(v)
 
         x, info = spla.bicgstab(
             B, b, x0=x0, rtol=rtol, atol=0.0 if target is None else target,
@@ -1146,60 +1088,39 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
         return info == 0 and (target is not None or
                               backward_error(x) <= RESIDUAL_CHECK)
 
-    def on_cycle(cycle):
-        """BiCGSTAB preconditioned by ``cycle`` with B as its finest
-        level."""
-        nonlocal sizes
-        sizes = cycle.sizes
-        through = cycle.finest(B)
-        return run(lambda v: cycle.solve(through, v), VCYCLE_RTOL, 2000)
-
-    preconditioned = not on_krylov and precond is not None and \
-        precond.budget > 0
     x = None
-    if preconditioned:
-        path = "lu_precond"
-        # the preconditioner looks the LU up at each application: no
-        # reference to it outlives the call, so a factorization below
-        # frees it
-        x, info, spent = run(lambda v: precond.lu.solve(v), 1e-12,
-                             precond.budget)
-        precond.budget -= spent
-        fill = precond.lu.fill
-        if not stands(x, info):
-            x = None  # budget spent, breakdown or check failed
-    elif cycled:
+    if isinstance(route, _Held):
+        path = "vcycle" if route.cycle else "lu_precond"
+        if route.budget > 0:
+            x, info, spent = run(cycle=route.held) if route.cycle else \
+                run(lu=route.held, maxiter=route.budget)
+            route.budget -= spent
+            if not stands(x, info):
+                x = None  # budget spent, breakdown or check failed
+        if x is None and route.cycle:
+            # a fresh cycle's own solve is not charged, as an LU's is not
+            x, info, _ = run(cycle=route.rebuild(B, order, levels),
+                             fresh=True)
+            if not stands(x, info):
+                # it failed on its own matrix: drop it
+                x = route.held = None
+                route.budget = 0
+    elif route == "cycle":
         path = "vcycle"
-        held = None if linear or precond.budget <= 0 else precond.cycle
-        if held is not None:
-            built = False
-            x, info, spent = on_cycle(held)
-            precond.budget -= spent
-        if held is None or not stands(x, info):
-            # a held cycle that fails is built again from B before B
-            # is factored; as a factorization's solve, the solve of
-            # the policy it is built from is not charged to it
-            built = True
-            x, info, _ = on_cycle(_VCycle(B, levels()) if linear else
-                                  precond.build(B, levels()))
-            if not linear and not stands(x, info):
-                x = precond.cycle = None  # it failed on its own matrix
-    elif on_krylov:
+        x, info, _ = run(cycle=_VCycle(B, levels()), fresh=True)
+    elif route == "bicgstab":
         path = "bicgstab"
-        x, info, _ = run(lambda v: v, 1e-12, 2000)
-    if on_krylov and x is not None and info != 0:
+        x, info, _ = run()
+    if x is not None and info != 0:
         raise SolveError(f"BiCGSTAB ({path}) failed on {n} unknowns "
                          f"(info {info})")
     if x is None:
-        path = "direct"
-        target = None
-        if linear and _scope is not None:
-            reused = _scope.reused_solves
-            lu = _scope.factor(B, order)
-            if _scope.reused_solves > reused:
-                path = "lu_reuse"
-        elif precond is not None and not precond.cycled:
-            lu = precond.factor(B, order)
+        path, target = "direct", None
+        if route == "scope_lu":
+            lu, reused = _scope.factor(B, order)
+            path = "lu_reuse" if reused else path
+        elif isinstance(route, _Held) and not route.cycle:
+            lu = route.rebuild(B, order, levels)
         else:
             lu = _Factor(B, order())
         x = lu.solve(b)
@@ -1223,11 +1144,9 @@ def _solve_sparse(system, dim, order, linear=False, x0=None, target=None,
 
 
 RESIDUAL_CHECK = 1e-10
-# forcing term of inexact Howard: a Krylov solve of policy k stops at
-# ETA times the nonlinear residual of the iterate it starts from
+# the forcing term of inexact Howard (see ``solve_dirichlet``)
 ETA = 0.1
-# preconditioned BiCGSTAB iterations one LU serves below the Krylov
-# switch before the policy at hand is factored instead
+# the BiCGSTAB iterations each build of a held preconditioner buys
 PRECOND_BUDGET = 25
 MAX_POLICIES = 50
 
@@ -1246,63 +1165,37 @@ def _same_policy(p, v, w):
 
 
 def solve_dirichlet(p, tol=1e-8, start=None, response=None):
-    """Solve a discrete problem by Howard policy iteration.
-
-    Serves masked Dirichlet grids and the periodic cell problem alike.
-    Freezes the optimizing member at each node, solves the frozen
-    linear system, and re-optimizes; for linear operators this is a
-    single solve.  Deterministic: ties pick the lowest index.  The
+    """Solve a discrete problem by Howard policy iteration (ties pick
+    the lowest index; a linear problem takes a single solve).  The
     first iterate takes its interior values from the GridField
     ``start`` if given (e.g. the solution of a nearby problem on the
     same grid), else the mean of the boundary ring.
 
     Howard is inexact (Dembo-Eisenstat-Steihaug): the solve of policy
-    k starts from the iterate u_k and stops at ETA ||r_k||_2, r_k =
-    F_h(u_k) - f being both the nonlinear residual and that solve's
-    initial linear residual.  A 3-d policy above the switch is solved
-    by plain BiCGSTAB.  A 2-d policy of a sign-independent problem
-    (``p.sign_independent``) in a solve that asks for no ``response``
-    runs BiCGSTAB preconditioned by a V-cycle that smooths on its own
-    matrix above coarse levels the loop holds: the first policy builds
-    them, and later policies reuse them until PRECOND_BUDGET Krylov
-    iterations of theirs have been charged to them, after which the
-    policy at hand builds them again; a policy whose solve fails on
-    held levels builds them again too.  Such a policy is factored only
-    if the cycle built from it fails, or if it repeats after a
-    full-accuracy solve above tol (the cycle's floor), whose LU the
-    loop then holds for its later policies.  Otherwise the
-    first policy is factored and solved exactly; a later one runs
-    BiCGSTAB preconditioned by the LU of the last factored policy,
-    within that LU's budget of PRECOND_BUDGET iterations, and is
-    factored and solved exactly once the budget runs out.  The loop
-    accepts or stops only after a full-accuracy solve, so a policy that
-    repeats after an inexact solve is solved again at full accuracy
-    (and a linear problem, with its one policy, is solved at full
-    accuracy at once, by BiCGSTAB with the V-cycle above the switch);
-    on the held-LU path that solve, too, runs preconditioned while
-    budget is left, and a policy that repeats after it above tol is
-    factored.
+    k, on the route ``_route`` gives the call, starts from the iterate
+    u_k and stops at ETA ||r_k||_2, r_k = F_h(u_k) - f being both the
+    nonlinear residual and that solve's initial linear residual.  The
+    loop accepts or stops only after a full-accuracy solve (a repeated
+    policy is solved again so, a linear problem's one policy at once).
+    A repeat at a held preconditioner's floor (a full-accuracy solve
+    above tol, not by the policy's own LU) factors the policy and holds
+    its LU for the rest.
 
-    ``response``, a boolean grid array marking ring nodes, asks for
-    the linear response to the value on those nodes: psi solves
-    B_pi psi = b_mask, with pi the accepted policy and b_mask what a
-    unit value on the marked nodes (and 0 on the rest of the ring)
-    contributes to its right-hand side.  It is solved like a policy of
-    the loop at full accuracy, by BiCGSTAB preconditioned with the LU
-    the loop holds (one back-solve when that LU is pi's), and checked
-    like every other solve.  For a problem whose policy does not move, the
-    solution for ring values raised by c on the marked nodes is the
-    solution plus c psi.
+    ``response``, a boolean grid array marking ring nodes, asks for the
+    linear response psi to the value on those nodes: B_pi psi = b_mask,
+    with pi the accepted policy and b_mask what a unit value on the
+    marked nodes (0 on the rest of the ring) contributes to its
+    right-hand side, solved on the route at full accuracy (on the held
+    LU, one back-solve when that LU is pi's).  For a problem whose
+    policy does not move, the solution for ring values raised by c on
+    the marked nodes is the solution plus c psi.
 
-    Returns (GridField, record), and psi as a third GridField (1 on
-    the marked nodes, 0 on the rest of the ring) when ``response`` is
-    given.  The record lists every policy's linear solve's path,
-    unknowns, stored entries, Krylov iterations, checked residual,
-    target, LU fill, V-cycle levels and whether they were built for it
-    under ``solves``, and psi's under ``response``.
-    Raises SolveError with the residual history if MAX_POLICIES solves
-    do not converge or a policy repeats after a full-accuracy solve
-    above 10*tol.
+    Returns (GridField, record), and psi as a third GridField (1 on the
+    marked nodes, 0 on the rest of the ring) when ``response`` is given.
+    The record holds each policy's solve report (see ``_solve_sparse``)
+    under ``solves``, and psi's under ``response``.  Raises SolveError
+    with the residual history if MAX_POLICIES solves do not converge or
+    a policy repeats after a full-accuracy solve above 10*tol.
     """
     grid = p.grid.copy()
     u = grid.values.ravel()
@@ -1314,22 +1207,23 @@ def solve_dirichlet(p, tol=1e-8, start=None, response=None):
     history, solves = [], []
     converged = False
     exact = p.linear
-    # one extremum per iterate: its F gives the residual and its
-    # policy the next linear system.  A linear problem's one policy is
-    # its member, and its first solve is exact, so it needs no residual
+    # one extremum per iterate gives the residual and the next policy; a
+    # linear problem's one policy is its member, and its exact first
+    # solve needs no residual
     if p.linear:
         r, policy = None, Policy(np.zeros(p.n_interior, dtype=np.int8), None)
     else:
         r, policy = p.evaluate(u, want_policy=True)
-    precond = None if p.linear else _Preconditioner(
-        cycled=p.sign_independent and grid.dim == 2 and response is None)
+    route = _route(p.n_interior, grid.dim, p.linear, p.sign_independent,
+                   _scope is not None, response is not None)
+    route = _Held(route) if route.startswith("held") else route
     for _ in range(MAX_POLICIES):
         report = {}
         u[p.int_flat] = _solve_sparse(
-            p.assemble(policy), grid.dim, lambda: p.order,
-            linear=p.linear, x0=u[p.int_flat],
+            p.assemble(policy), route, lambda: p.order, lambda: p.aggregates,
+            x0=u[p.int_flat],
             target=None if exact else ETA * float(np.linalg.norm(r)),
-            report=report, precond=precond, levels=lambda: p.aggregates)
+            report=report)
         solves.append(report)
         r, next_policy = p.evaluate(u, want_policy=True)
         res = float(np.max(np.abs(r)))
@@ -1340,30 +1234,17 @@ def solve_dirichlet(p, tol=1e-8, start=None, response=None):
                 converged = True
                 break
             if repeat:
-                if report["path"] == "vcycle" and not p.linear:
-                    # the floor of the V-cycle, whose stopping test is
-                    # relative to ||b||: factor this policy, and hold
-                    # its LU for the rest
-                    precond = _Preconditioner()
-                elif report["path"] != "lu_precond":
+                if not isinstance(route, _Held) or report["path"] == "direct":
                     # policy fixed point at the linear-solver floor
                     break
-                else:
-                    # the floor of BiCGSTAB on an older policy's LU,
-                    # not this policy's: factor it
-                    precond.budget = 0
-        # a policy that repeats is solved again at full accuracy before
-        # the loop accepts or stops
+                # a held preconditioner's floor: factor this policy
+                route = _Held("held_lu")
+        # a repeat is solved again at full accuracy before the loop stops
         exact = repeat
         policy = next_policy
-    record = {
-        "iterations": len(history),
-        "residual_history": history,
-        "converged": converged or (len(history) > 0 and
-                                   history[-1] <= 10 * tol),
-        "tol": tol,
-        "solves": solves,
-    }
+    record = {"iterations": len(history), "residual_history": history,
+              "converged": converged or history[-1] <= 10 * tol,
+              "tol": tol, "solves": solves}
     if not record["converged"]:
         raise SolveError(
             f"no convergence in {len(history)} policies "
@@ -1378,9 +1259,8 @@ def solve_dirichlet(p, tol=1e-8, start=None, response=None):
     B, _, norm = p.assemble(policy)
     record["response"] = {}
     psi.values.ravel()[p.int_flat] = _solve_sparse(
-        LinearSystem(B, p.ring_rhs(policy, psi.values), norm), grid.dim,
-        lambda: p.order, linear=p.linear, report=record["response"],
-        precond=precond, levels=lambda: p.aggregates)
+        LinearSystem(B, p.ring_rhs(policy, psi.values), norm), route,
+        lambda: p.order, lambda: p.aggregates, report=record["response"])
     return grid, record, psi
 
 

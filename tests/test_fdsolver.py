@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -199,11 +200,13 @@ def test_krylov_failure_raises_without_direct_fallback(monkeypatch):
     system = fdsolver.LinearSystem(
         fdsolver.sparse.identity(n, format="csr"), np.ones(n), 1.0)
     with pytest.raises(SolveError, match=r"BiCGSTAB \(bicgstab\) failed"):
-        fdsolver._solve_sparse(system, 3, no_direct,
-                               precond=fdsolver._Preconditioner())
+        fdsolver._solve_sparse(
+            system, fdsolver._route(n, 3, False, False, False, False),
+            no_direct, no_direct)
     with pytest.raises(SolveError, match=r"BiCGSTAB \(vcycle\) failed"):
-        fdsolver._solve_sparse(system, 2, no_direct, linear=True,
-                               levels=lambda: [np.arange(n) // 256])
+        fdsolver._solve_sparse(
+            system, fdsolver._route(n, 2, True, True, False, False),
+            no_direct, lambda: [np.arange(n) // 256])
 
 
 # the 0.9-disk at h = 0.00625, the grid of the homogenize-disk
@@ -261,9 +264,8 @@ def test_large_2d_policy_is_still_factored(monkeypatch):
     u = np.zeros(p.grid.values.size)
     report = {}
     fdsolver._solve_sparse(p.assemble(p.evaluate(u, want_policy=True)[1]),
-                           2, lambda: p.order,
-                           precond=fdsolver._Preconditioner(),
-                           levels=lambda: p.aggregates, report=report)
+                           fdsolver._Held("held_lu"), lambda: p.order,
+                           lambda: p.aggregates, report=report)
     assert p.n_interior > fdsolver.KRYLOV_SWITCH
     assert report["path"] == "direct" and report["fill"] > p.n_interior
     assert report["levels"] is None and "aggregates" not in vars(p)
@@ -294,8 +296,8 @@ def test_linear_solve_takes_its_policy_from_its_member(monkeypatch):
     _, weights = p.evaluate(u, want_policy=True)
     report = {}
     u[p.int_flat] = fdsolver._solve_sparse(
-        p.assemble(weights), 2, lambda: p.order, linear=True,
-        x0=u[p.int_flat], report=report, levels=lambda: p.aggregates)
+        p.assemble(weights), "lu", lambda: p.order, lambda: p.aggregates,
+        x0=u[p.int_flat], report=report)
     evaluate = fdsolver.DiscreteProblem.evaluate
     evaluated = []
 
@@ -466,8 +468,8 @@ def test_pruned_assembly_is_the_chosen_stencil(dim, order, pucci, cells,
         1 + sum(inner[2 * p.dirs.index(d) + s, k]
                 for d in p.members[m] for s in (0, 1))
         for k, m in enumerate(policy.member)]
-    x = fdsolver._solve_sparse(system, dim, lambda: p.order,
-                               precond=fdsolver._Preconditioner())
+    x = fdsolver._solve_sparse(system, fdsolver._Held("held_lu"),
+                               lambda: p.order, None)
     np.testing.assert_allclose(x, np.linalg.solve(B, system.b),
                                rtol=0.0, atol=1e-10)
 
@@ -554,8 +556,8 @@ def test_direct_solve_under_dissection_matches_dense(dim, torus, seed):
         p = _masked_problem(op, interior, rng)
     u = rng.uniform(-1.0, 1.0, p.grid.values.size)
     system = p.assemble(p.evaluate(u, want_policy=True)[1])
-    x = fdsolver._solve_sparse(system, dim, lambda: p.order,
-                               precond=fdsolver._Preconditioner())
+    x = fdsolver._solve_sparse(system, fdsolver._Held("held_lu"),
+                               lambda: p.order, None)
     dense = np.linalg.solve(system.B.toarray(), system.b)
     # relative to the solution's size: with a small delta a cell
     # solution reaches the hundreds
@@ -588,8 +590,9 @@ def test_vcycle_solve_matches_dense(dim, flat, seed):
         for _ in range(2):
             reports.append({})
             runs.append(fdsolver._solve_sparse(
-                system, dim, None, linear=True, levels=lambda: p.aggregates,
-                report=reports[-1]))
+                system, fdsolver._route(p.n_interior, dim, True, True, False,
+                                        False),
+                None, lambda: p.aggregates, report=reports[-1]))
     assert reports[0]["path"] == "vcycle"
     assert reports[0]["levels"][-1] <= 4
     assert len(reports[0]["levels"]) == len(p.aggregates) + 1
@@ -1245,20 +1248,78 @@ def test_vcycle_breakdown_factors_the_policy(monkeypatch):
 
 def test_sign_independence_is_read_by_value():
     # lam == Lam as two float objects, as a JSON config reads them, is
-    # the operator that one float twice gives: the same solve paths and
-    # a bitwise-equal field; with one frame it is linear
+    # the operator that one float twice gives, and so is a problem sent
+    # through pickle, which keeps no float's identity, whether or not
+    # it read its sign independence before: the same solve paths and a
+    # bitwise-equal field; with one frame it is linear
     ops = pucci_plus(1.0, 1.0), pucci_plus(1.0, float("1.0"))
     assert ops[1].Lam is not ops[1].lam
+    read = _bump2d(ops[0])
+    assert read.sign_independent
+    problems = [_bump2d(op) for op in ops] + [
+        pickle.loads(pickle.dumps(p)) for p in (_bump2d(ops[0]), read)]
     fields, paths = [], []
-    for op in ops:
-        p = _bump2d(op)
+    for p in problems:
         assert p.sign_independent
         u, rec = solve_dirichlet(p)
         fields.append(u.values)
         paths.append([s["path"] for s in rec["solves"]])
+    for op in ops:
         assert _bump2d(op, stencil_order=1).linear
-    assert paths[0] == paths[1]
-    np.testing.assert_array_equal(fields[0], fields[1])
+    assert all(path == paths[0] for path in paths[1:])
+    for field in fields[1:]:
+        np.testing.assert_array_equal(fields[0], field)
+
+
+# the sizes the benchmark workloads solve: corrector strips, the
+# envelope bump, u+/u- and the two u_eps of the disk, and the ball
+_STRIP, _BUMP, _U_PM, _U_EPS, _U_EPS_LARGE, _BALL = \
+    24_129, 25_696, 10_426, 16_237, 65_097, 73_447
+
+
+@pytest.mark.parametrize("n,dim,linear,independent,scoped,response,route", [
+    # homogenize-disk: Laplace strips and u+/u- inside the scope of a
+    # sweep, the u_eps outside it, and the Pucci+(1, 1) bump
+    pytest.param(_STRIP, 2, True, True, True, True, "scope_lu",
+                 id="scope_lu-lu_reuse"),
+    pytest.param(_U_PM, 2, True, True, True, False, "scope_lu",
+                 id="scope_lu-direct"),
+    pytest.param(_U_EPS, 2, True, True, False, False, "lu", id="lu-direct"),
+    pytest.param(_U_EPS_LARGE, 2, True, True, False, False, "cycle",
+                 id="cycle-vcycle"),
+    pytest.param(_BUMP, 2, False, True, True, False, "held_cycle",
+                 id="held_cycle-vcycle"),
+    # gbar-pucci: Pucci+(1, 2) strips, with and without a response
+    pytest.param(_STRIP, 2, False, False, True, True, "held_lu",
+                 id="held_lu-direct"),
+    pytest.param(_STRIP, 2, False, False, True, False, "held_lu",
+                 id="held_lu-lu_precond"),
+    # bump3d-pucci: the Pucci+(1, 1.5) ball
+    pytest.param(_BALL, 3, False, False, False, False, "bicgstab",
+                 id="bicgstab-bicgstab"),
+    # a sign-independent solve that asks for its response
+    pytest.param(_BUMP, 2, False, True, False, True, "held_lu",
+                 id="response-held_lu"),
+    # a 3-d nonlinear system above the switch, sign-independent too
+    pytest.param(_BALL, 3, False, True, False, False, "bicgstab",
+                 id="3d_large-bicgstab"),
+    pytest.param(_U_EPS, 3, False, True, False, False, "held_lu",
+                 id="3d_small-held_lu"),
+    pytest.param(_U_EPS_LARGE, 2, False, False, False, False, "held_lu",
+                 id="2d_large_sign_dependent-held_lu"),
+    pytest.param(_U_EPS_LARGE, 2, False, True, False, False, "held_cycle",
+                 id="2d_large_sign_independent-held_cycle"),
+    pytest.param(_U_EPS_LARGE, 2, True, True, True, False, "scope_lu",
+                 id="2d_large_linear_scoped-scope_lu"),
+    pytest.param(_BALL, 3, True, True, True, False, "cycle",
+                 id="3d_large_linear_scoped-cycle"),
+])
+def test_route_table(n, dim, linear, independent, scoped, response, route):
+    # one row per route: the route every solve of a call takes, read
+    # from the table alone (no solve); each id names the route and the
+    # path it reports on that row
+    assert fdsolver._route(n, dim, linear, independent, scoped,
+                           response) == route
 
 
 @settings(max_examples=80, deadline=None)
