@@ -22,9 +22,10 @@ and their equality verdict.  The estimator runs its strips in one
 whose strips sample one constant coefficient (Pucci, the Laplacian)
 every strip of the scope with the same T, L and h is one discrete
 problem with other ring values, so it is discretized once per scope,
-not once per strip.  Under a linear operator the strips of one normal
-(of every normal, for such an operator) share their matrix across
-epsilons and passes, so that matrix is factored once.
+not once per strip.  Under a linear operator with one constant
+coefficient the strips of one normal (of every normal, for such an
+operator) share their problem across epsilons and passes, and with it
+the LU of its matrix, so that matrix is factored once.
 """
 
 import itertools
@@ -159,18 +160,21 @@ def _strip_problem(p):
 
     Every ring node carries the bottom trace at its foot (bottom and
     lateral faces share it); the caller sets the top-face values before
-    each solve.  When the rotated operator is the operator itself
-    (Pucci, a multiple of I), a ``factor_reuse`` scope holds the
-    problem under (operator, T, L, h), and a later strip with that key
-    resets its ring values, provided it would discretize to the same
-    members: a linear strip only when its coefficients at the held
-    interior nodes all equal the held problem's one constant matrix (a
-    Pucci strip samples none).
+    each solve.  A ``factor_reuse`` scope holds the problem under
+    (operator, frame, T, L, h), the frame None when the rotated operator
+    is the operator itself (Pucci, a multiple of I), and a later strip
+    with that key resets its ring values, provided it would discretize
+    to the same members: a linear strip only when its coefficients at
+    the held interior nodes all equal the held problem's one constant
+    matrix (a Pucci strip samples none).  A rotated Bellman family is
+    never held.
     """
     n = p.Q.shape[0]
     op = p.op.rotated(p.Q)
-    key = (op, p.T, p.L, p.h) if op is p.op else None
     linear = op.kind == "linear"
+    # a rotated linear operator is a new object, named by its frame
+    key = (p.op, None if op is p.op else p.Q.tobytes(), p.T, p.L, p.h) \
+        if op is p.op or linear else None
 
     def build():
         lo = np.array([-p.L / 2.0] * (n - 1) + [0.0])

@@ -21,8 +21,8 @@ import numpy as np
 from .geometry import DomainSpec, RATIONAL, classify_direction, in_D_delta
 from .operators import (EllipticOperatorSpec, SourceAndBoundaryData,
                         pucci_plus)
-from .fdsolver import (INTERIOR, CertificateError, discretize, factor_reuse,
-                       solve_dirichlet)
+from .fdsolver import (BOUNDARY, INTERIOR, CertificateError, discretize,
+                       factor_reuse, solve_dirichlet)
 from . import corrector as corr
 
 __all__ = [
@@ -491,9 +491,11 @@ def effective_sandwich(p, env, eps_list, h_pm, tol=1e-6):
     K_SCALE copy of D); each u_eps is solved on a grid of spacing eps/8.
 
     The effective operator is the problem operator, which must not
-    depend on the fast variable.  u+ and u- are solved in one
-    ``factor_reuse`` scope, so a linear operator is factored once for
-    both.  Returns the SandwichVerdict.
+    depend on the fast variable.  u+ and u- are one discrete problem
+    with other ring values, solved in a ``factor_reuse`` scope: the grid
+    is discretized once and a linear operator's matrix factored once for
+    both.  The problem, and with it that LU, is dropped before the first
+    u_eps solve.  Returns the SandwichVerdict.
     """
     if not env.complete:
         raise ValueError("envelope is not completed; run build_envelopes")
@@ -504,15 +506,17 @@ def effective_sandwich(p, env, eps_list, h_pm, tol=1e-6):
     n = p.domain.dim
     if (n - 1) * p.operator.lam <= p.operator.Lam:
         notes.append("unverified stability hypothesis: (n-1)*lam <= Lam")
-    # u+ and u- differ only in their boundary data: under a linear
-    # operator they share one factor
+    # u+ and u- differ only in their ring values, which u- resets as
+    # discretize set u+'s: h- at the projections of the ring nodes
     with factor_reuse():
-        prob_p = discretize(p.operator, p.domain, h_pm, boundary=env.h_plus,
-                            source=p.data.source)
-        u_plus, _ = solve_dirichlet(prob_p, tol=tol)
-        prob_m = discretize(p.operator, p.domain, h_pm, boundary=env.h_minus,
-                            source=p.data.source)
-        u_minus, _ = solve_dirichlet(prob_m, tol=tol)
+        prob = discretize(p.operator, p.domain, h_pm, boundary=env.h_plus,
+                          source=p.data.source)
+        u_plus, _ = solve_dirichlet(prob, tol=tol)
+        ring = prob.grid.mask == BOUNDARY
+        prob.grid.values[ring] = env.h_minus(
+            p.domain.project(prob.grid.coords()[ring]))
+        u_minus, _ = solve_dirichlet(prob, tol=tol)
+        del prob  # else its LU lives through the u_eps solves
     per_eps = []
     gap_sup = 0.0
     all_ok = True

@@ -22,8 +22,9 @@ takes the route of ``_route``'s table (a sparse LU under a nested-
 dissection order, George 1973; BiCGSTAB with a plain-aggregation
 V-cycle, Braess 1995 and Vanek, Mandel and Brezina 1996; or plain
 BiCGSTAB) and is checked by its residual.  Howard is inexact
-(Dembo-Eisenstat-Steihaug forcing).  A ``factor_reuse`` scope keeps the
-last linear system's LU and the last ``scoped_problem`` for later callers.
+(Dembo-Eisenstat-Steihaug forcing).  A linear problem keeps the LU of its
+one matrix, so every later solve of it is a back-solve; a ``factor_reuse``
+scope holds the last ``scoped_problem`` for later callers.
 """
 
 import contextlib
@@ -291,6 +292,12 @@ class DiscreteProblem:
     delta: float = 0.0
     _fixed: Optional[tuple] = field(default=None, init=False, repr=False,
                                     compare=False)
+    _lu: Optional["_Factor"] = field(default=None, init=False, repr=False,
+                                     compare=False)
+
+    def __getstate__(self):
+        # SuperLU objects do not pickle: a copy factors its matrix again
+        return {**self.__dict__, "_lu": None}
 
     @property
     def n_interior(self):
@@ -780,12 +787,6 @@ def discretize_cell(op, M, delta, cell_grid):
         delta=float(delta))
 
 
-def _same_entries(M, B):
-    return M.shape == B.shape and np.array_equal(M.indptr, B.indptr) and \
-        np.array_equal(M.indices, B.indices) and \
-        np.array_equal(M.data, B.data)
-
-
 class _Factor:
     """The sparse LU of the M-matrix B (canonical CSR) under the
     elimination order ``order``; ``solve`` works in B's numbering and
@@ -810,27 +811,15 @@ class _Factor:
 
 
 class FactorScope:
-    """The one retained LU of a ``factor_reuse`` scope, its one held
-    problem (see ``scoped_problem``) and their counts."""
+    """The one held problem of a ``factor_reuse`` scope (see
+    ``scoped_problem``), the problems built and reused inside it, and
+    the ``lu`` solves made inside it that factored a problem's matrix or
+    back-solved its LU."""
 
     def __init__(self):
-        self.matrix = self.lu = self.problem_key = self.problem = None
+        self.problem_key = self.problem = None
         self.factorizations = self.reused_solves = 0
         self.problems_built = self.problems_reused = 0
-
-    def factor(self, B, order):
-        """The retained LU and True when the CSR ``B`` is its matrix
-        (the same object, or equal entry for entry); otherwise drop it,
-        factor ``B`` under ``order()``, and that LU and False."""
-        M = self.matrix
-        if M is B or M is not None and _same_entries(M, B):
-            self.reused_solves += 1
-            return self.lu, True
-        self.matrix = self.lu = None
-        self.lu = _Factor(B, order())
-        self.matrix = B
-        self.factorizations += 1
-        return self.lu, False
 
     def counts(self):
         return {"factorizations": self.factorizations,
@@ -844,12 +833,14 @@ _scope = None
 
 @contextlib.contextmanager
 def factor_reuse():
-    """Keep the sparse LU of the last linear system for the next solve.
+    """Hold the last problem ``scoped_problem`` built for later callers,
+    and with a linear problem the LU it keeps.
 
-    Yields the ``FactorScope``, which also holds the last problem
-    ``scoped_problem`` built; a nested scope joins the outer one.
-    Leaving the outermost scope, by an exception too, frees the factor
-    and the problem, so neither outlives the loop that reuses it.
+    Yields the ``FactorScope``; a nested scope joins the outer one.
+    Inside a scope a large 2-d linear problem is factored (see
+    ``_route``).  Leaving the outermost scope, by an exception too,
+    frees the problem, so neither it nor its LU outlives the loop that
+    reuses it.
     """
     global _scope
     if _scope is not None:
@@ -859,7 +850,7 @@ def factor_reuse():
     try:
         yield _scope
     finally:
-        _scope.matrix = _scope.lu = _scope.problem_key = _scope.problem = None
+        _scope.problem_key = _scope.problem = None
         _scope = None
 
 
@@ -870,9 +861,8 @@ def scoped_problem(key, build, fits):
     says whether a problem serves the caller as it is, apart from what
     the caller resets (its ring values, say), so equal keys alone never
     share one.  The grid, neighbour tables, cached arms, elimination
-    order and a linear problem's assembled matrix carry over, so that
-    matrix meets the scope's LU as the same object.  The scope counts
-    every problem built and reused inside it.
+    order and a linear problem's assembled matrix and LU carry over.
+    The scope counts every problem built and reused inside it.
     """
     s = _scope
     if s is None:
@@ -902,13 +892,13 @@ class _Held:
     def __init__(self, route):
         self.cycle, self.held, self.budget = route == "held_cycle", None, 0
 
-    def rebuild(self, B, order, levels):
-        """Drop what is held, then build it from ``B``: an LU under
-        ``order()`` or a cycle over ``levels()``.  One is alive at a
-        time."""
+    def rebuild(self, B, p):
+        """Drop what is held, then build it from ``B``: an LU under the
+        problem ``p``'s order or a cycle over its aggregates.  One is
+        alive at a time."""
         self.held = None
-        self.held = _VCycle(B, levels()) if self.cycle else \
-            _Factor(B, order())
+        self.held = _VCycle(B, p.aggregates) if self.cycle else \
+            _Factor(B, p.order)
         self.budget = PRECOND_BUDGET
         return self.held
 
@@ -991,8 +981,9 @@ def _route(n, dim, linear, sign_independent, scoped, response):
     =====================  ==========  ================================
     linear, large, in 3-d  cycle       a V-cycle built from B (vcycle)
     or outside a scope
-    linear, in a scope     scope_lu    the scope's LU (direct, lu_reuse)
-    linear, otherwise      lu          an LU of B (direct)
+    linear, otherwise      lu          the problem's LU, factored on its
+                                       first solve (direct), then back-
+                                       solved (lu_reuse)
     nonlinear, 2-d, sign-  held_cycle  the held V-cycle (vcycle); if a
     independent, asking                cycle built from B fails, an LU
     for no response                    of B, not held (direct)
@@ -1001,35 +992,36 @@ def _route(n, dim, linear, sign_independent, scoped, response):
                                        LU, then held (direct)
     =====================  ==========  ================================
 
-    A V-cycle or a held LU preconditions BiCGSTAB; the scope's LU is
-    factored unless B is its matrix, and solves by a back-solve.
+    A V-cycle or a held LU preconditions BiCGSTAB.  A linear problem's
+    LU lives as long as the problem does.
 
     Why (measured in the README): sign-independent members tie to
     O(h^2), so a policy moves a little at each of many steps and a held
-    LU would serve few, while a strip's response is one back-solve.
+    LU would serve few, while a strip's response is one back-solve; a
+    large 2-d linear problem is factored in a scope, whose strips solve
+    it many times.
     """
     large = n > KRYLOV_SWITCH
     if linear:
-        if large and (dim >= 3 or not scoped):
-            return "cycle"
-        return "scope_lu" if scoped else "lu"
+        return "cycle" if large and (dim >= 3 or not scoped) else "lu"
     if dim == 2 and sign_independent and not response:
         return "held_cycle"
     return "bicgstab" if large and dim >= 3 else "held_lu"
 
 
-def _solve_sparse(system, route, order, levels, x0=None, target=None,
-                  report=None):
-    """Solve the assembled system B x = b (B = -L, an M-matrix) on
-    ``route``, a route of ``_route``, or for a held one its ``_Held``.
+def _solve_sparse(system, route, p, x0=None, target=None, report=None):
+    """Solve the assembled system B x = b (B = -L, an M-matrix) of the
+    problem ``p`` on ``route``, a route of ``_route``, or for a held one
+    its ``_Held``.
 
-    ``order()`` gives an LU's elimination order and ``levels()`` a
-    V-cycle's aggregates, each called only when one is built.  Every
-    Krylov solve starts from ``x0`` if given, and stops at rtol 1e-12
-    (VCYCLE_RTOL with a V-cycle) or, given a ``target`` above 1e-12
-    ||b||_2, once ||Bx - b||_2 < target.  A BiCGSTAB failure off a held
-    route raises SolveError, with no fallback to a direct solve of that
-    size.  An inexact x is checked by its true residual against its
+    ``p`` gives an LU's elimination order and a V-cycle's aggregates,
+    each read only when one is built, and on the ``lu`` route holds the
+    LU of its one matrix B (counted by a ``factor_reuse`` scope around
+    the solve).  Every Krylov solve starts from ``x0`` if given, and
+    stops at rtol 1e-12 (VCYCLE_RTOL with a V-cycle) or, given a
+    ``target`` above 1e-12 ||b||_2, once ||Bx - b||_2 < target.  A
+    BiCGSTAB failure off a held route raises SolveError, with no
+    fallback to a direct solve of that size.  An inexact x is checked by its true residual against its
     target, any other by its normwise backward error ||Bx - b|| /
     (||B|| ||x|| + ||b||) in the max norm against RESIDUAL_CHECK; a
     failed check raises SolveError.  ``report``, if given, receives the
@@ -1099,15 +1091,14 @@ def _solve_sparse(system, route, order, levels, x0=None, target=None,
                 x = None  # budget spent, breakdown or check failed
         if x is None and route.cycle:
             # a fresh cycle's own solve is not charged, as an LU's is not
-            x, info, _ = run(cycle=route.rebuild(B, order, levels),
-                             fresh=True)
+            x, info, _ = run(cycle=route.rebuild(B, p), fresh=True)
             if not stands(x, info):
                 # it failed on its own matrix: drop it
                 x = route.held = None
                 route.budget = 0
     elif route == "cycle":
         path = "vcycle"
-        x, info, _ = run(cycle=_VCycle(B, levels()), fresh=True)
+        x, info, _ = run(cycle=_VCycle(B, p.aggregates), fresh=True)
     elif route == "bicgstab":
         path = "bicgstab"
         x, info, _ = run()
@@ -1116,13 +1107,18 @@ def _solve_sparse(system, route, order, levels, x0=None, target=None,
                          f"(info {info})")
     if x is None:
         path, target = "direct", None
-        if route == "scope_lu":
-            lu, reused = _scope.factor(B, order)
-            path = "lu_reuse" if reused else path
+        if route == "lu":
+            reused = p._lu is not None
+            if not reused:
+                p._lu = _Factor(B, p.order)
+            lu, path = p._lu, "lu_reuse" if reused else path
+            if _scope is not None:
+                _scope.reused_solves += reused
+                _scope.factorizations += not reused
         elif isinstance(route, _Held) and not route.cycle:
-            lu = route.rebuild(B, order, levels)
+            lu = route.rebuild(B, p)
         else:
-            lu = _Factor(B, order())
+            lu = _Factor(B, p.order)
         x = lu.solve(b)
         fill = lu.fill
     if target is None:
@@ -1220,8 +1216,7 @@ def solve_dirichlet(p, tol=1e-8, start=None, response=None):
     for _ in range(MAX_POLICIES):
         report = {}
         u[p.int_flat] = _solve_sparse(
-            p.assemble(policy), route, lambda: p.order, lambda: p.aggregates,
-            x0=u[p.int_flat],
+            p.assemble(policy), route, p, x0=u[p.int_flat],
             target=None if exact else ETA * float(np.linalg.norm(r)),
             report=report)
         solves.append(report)
@@ -1259,8 +1254,8 @@ def solve_dirichlet(p, tol=1e-8, start=None, response=None):
     B, _, norm = p.assemble(policy)
     record["response"] = {}
     psi.values.ravel()[p.int_flat] = _solve_sparse(
-        LinearSystem(B, p.ring_rhs(policy, psi.values), norm), route,
-        lambda: p.order, lambda: p.aggregates, report=record["response"])
+        LinearSystem(B, p.ring_rhs(policy, psi.values), norm), route, p,
+        report=record["response"])
     return grid, record, psi
 
 

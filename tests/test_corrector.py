@@ -171,7 +171,8 @@ def test_estimate_gbar_factors_linear_strip_once(monkeypatch):
 
 def test_pucci_strip_retains_no_factor(monkeypatch):
     # a Pucci strip's matrix changes with every policy: each solve
-    # factors its own, and the scope neither counts nor keeps one
+    # factors its own, the scope counts none, and the held problem
+    # keeps none
     calls = _count_splu(monkeypatch)
     data = SourceAndBoundaryData.from_exprs("cos(2*pi*y1)*cos(2*pi*y2)", "0",
                                             dim=2, period=(1.0, 1.0))
@@ -179,7 +180,7 @@ def test_pucci_strip_retains_no_factor(monkeypatch):
                     pucci_plus(1.0, 2.0))
     with fdsolver.factor_reuse() as scope:
         solve_corrector(p)
-        assert scope.lu is None and scope.matrix is None
+        assert scope.problem[0]._lu is None
     assert scope.counts() == {"factorizations": 0, "reused_solves": 0,
                               "problems_built": 1, "problems_reused": 0}
     assert calls["splu"] > 2
@@ -236,10 +237,12 @@ def test_scope_discretizes_a_rotation_invariant_strip_once(monkeypatch, op):
                                   "antidiagonal_laminate"])
 def test_scope_rediscretizes_strips_of_other_operators(monkeypatch,
                                                        diag_bellman, kind):
-    # a rotated anisotropic or Bellman operator is a new operator, and
-    # a laminate's coefficients move with the strip, also along
-    # (1, -1), which the probe points off the diagonal of the period
-    # cell see: no strip reuses another's problem
+    # a rotated Bellman operator is a new operator, and a laminate's
+    # coefficients move with the strip, also along (1, -1), which the
+    # probe points off the diagonal of the period cell see: no strip
+    # reuses another's problem; a rotated anisotropic operator is a new
+    # object too, but one constant coefficient per frame, so the second
+    # epsilon of each normal reuses the first's problem
     lam = {"laminate": "1.5 + 0.5*sin(2*pi*y1)",
            "antidiagonal_laminate": "1.5 + 0.5*sin(2*pi*(y1 - y2))"}
     op = {"anisotropic": linear_operator({"a11": "1.0", "a22": "2.0"},
@@ -251,9 +254,32 @@ def test_scope_rediscretizes_strips_of_other_operators(monkeypatch,
         assert op.rotated(rotation_frame(NORMALS[0])) is not op
     calls = _count_discretize(monkeypatch)
     scope, _ = _sweep(op, NORMALS[:2])
-    assert len(calls) == 4
-    assert scope.counts()["problems_built"] == 4
-    assert scope.counts()["problems_reused"] == 0
+    built = 2 if kind == "anisotropic" else 4
+    assert len(calls) == built
+    assert scope.counts()["problems_built"] == built
+    assert scope.counts()["problems_reused"] == 4 - built
+
+
+def test_anisotropic_strips_of_one_normal_share_one_problem(monkeypatch):
+    # the rotated operator is a new object for every strip, but the
+    # strips of one normal have one frame and one constant coefficient:
+    # one problem and one factorization serve both epsilons and both
+    # passes, with the bits of each strip solved on its own
+    op = linear_operator({"a11": "1.0", "a22": "2.0"}, 1.0, 2.0)
+    calls = _count_splu(monkeypatch)
+    for nu in NORMALS[:2]:
+        with fdsolver.factor_reuse() as scope:
+            est = estimate_gbar(X0, nu, [0.25, 0.125], 2.0, 8.0, 1 / 8,
+                                COS_DATA, op)
+        assert scope.counts() == {"factorizations": 1, "reused_solves": 3,
+                                  "problems_built": 1, "problems_reused": 1}
+        for rec in est.per_eps:
+            alpha, err, alone = ray_limit(build_strip(
+                X0, nu, rec["eps"], 2.0, 8.0, 1 / 8, COS_DATA, op))
+            assert alpha == rec["alpha"] and err == rec["err"]
+            assert alone["ray_readings"] == rec["ray_readings"]
+    # the strips solved on their own factor once each
+    assert calls["splu"] == 2 + 4
 
 
 def _half_step_coeff(y):
@@ -383,7 +409,9 @@ def test_response_is_the_derivative_in_the_top_value(T, L, h, op):
     prob, top = corrector._strip_problem(p)
     prob.grid.values[top] = 0.1
     u0, rec, psi = fdsolver.solve_dirichlet(prob, response=top)
-    assert rec["response"]["path"] in ("direct", "lu_precond")
+    # a linear problem back-solves the LU its first solve factored
+    assert rec["response"]["path"] in (
+        ("lu_reuse",) if prob.linear else ("direct", "lu_precond"))
     assert rec["response"]["target"] is None
     assert rec["response"]["residual"] <= 1e-10
     ring = prob.grid.mask == fdsolver.BOUNDARY

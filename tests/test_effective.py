@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -226,6 +227,40 @@ def test_sandwich_envelopes_share_one_factor(monkeypatch, cosdata_problem,
         assert np.array_equal(u.values, solve_dirichlet(q, tol=1e-6)[0].values)
     n = q.n_interior
     assert factored.count((n, n)) == 1
+
+
+def test_sandwich_drops_the_envelope_lu_before_u_eps(monkeypatch,
+                                                     cosdata_problem,
+                                                     sampled_env):
+    # u+ and u- are one problem, discretized once, whose LU is the only
+    # one factored before u_eps; it is dead when the first u_eps solve
+    # begins, so it never adds to that solve's memory
+    factor = fdsolver._Factor
+    live = []
+
+    class Watched(factor):
+        def __init__(self, B, order):
+            super().__init__(B, order)
+            live.append(weakref.ref(self))
+
+    grids, entered = [], []
+    discretize_ = effective.discretize
+    solve = effective.solve_oscillating
+
+    def counted(*args, **kwargs):
+        grids.append(args[2])
+        return discretize_(*args, **kwargs)
+
+    def watched(*args, **kwargs):
+        entered.append((len(live), sum(r() is not None for r in live)))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fdsolver, "_Factor", Watched)
+    monkeypatch.setattr(effective, "discretize", counted)
+    monkeypatch.setattr(effective, "solve_oscillating", watched)
+    effective_sandwich(cosdata_problem, sampled_env, [1 / 16], h_pm=1 / 64)
+    assert grids == [1 / 64, 1 / 128]
+    assert entered == [(1, 0)]
 
 
 @pytest.mark.parametrize("exc", [SolveError, TypeError])

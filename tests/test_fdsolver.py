@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import pickle
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -201,12 +203,11 @@ def test_krylov_failure_raises_without_direct_fallback(monkeypatch):
         fdsolver.sparse.identity(n, format="csr"), np.ones(n), 1.0)
     with pytest.raises(SolveError, match=r"BiCGSTAB \(bicgstab\) failed"):
         fdsolver._solve_sparse(
-            system, fdsolver._route(n, 3, False, False, False, False),
-            no_direct, no_direct)
+            system, fdsolver._route(n, 3, False, False, False, False), None)
     with pytest.raises(SolveError, match=r"BiCGSTAB \(vcycle\) failed"):
         fdsolver._solve_sparse(
             system, fdsolver._route(n, 2, True, True, False, False),
-            no_direct, lambda: [np.arange(n) // 256])
+            types.SimpleNamespace(aggregates=[np.arange(n) // 256]))
 
 
 # the 0.9-disk at h = 0.00625, the grid of the homogenize-disk
@@ -264,8 +265,7 @@ def test_large_2d_policy_is_still_factored(monkeypatch):
     u = np.zeros(p.grid.values.size)
     report = {}
     fdsolver._solve_sparse(p.assemble(p.evaluate(u, want_policy=True)[1]),
-                           fdsolver._Held("held_lu"), lambda: p.order,
-                           lambda: p.aggregates, report=report)
+                           fdsolver._Held("held_lu"), p, report=report)
     assert p.n_interior > fdsolver.KRYLOV_SWITCH
     assert report["path"] == "direct" and report["fill"] > p.n_interior
     assert report["levels"] is None and "aggregates" not in vars(p)
@@ -289,15 +289,16 @@ def test_large_2d_linear_system_in_a_scope_is_factored():
 def test_linear_solve_takes_its_policy_from_its_member(monkeypatch):
     # a linear problem's one policy is its member: the loop evaluates
     # only its solution, and the field and record are those of one
-    # exact solve of the policy the start iterate would have picked
-    p = discretize(laplacian(), RECT, 1 / 16, boundary=_harmonic)
-    u = p.grid.values.ravel().copy()
-    u[p.int_flat] = np.mean(u[p.grid.mask.ravel() == fdsolver.BOUNDARY])
-    _, weights = p.evaluate(u, want_policy=True)
+    # exact solve of the policy the start iterate would have picked (on
+    # a fresh problem, which has factored nothing yet)
+    p, q = (discretize(laplacian(), RECT, 1 / 16, boundary=_harmonic)
+            for _ in range(2))
+    u = q.grid.values.ravel().copy()
+    u[q.int_flat] = np.mean(u[q.grid.mask.ravel() == fdsolver.BOUNDARY])
+    _, weights = q.evaluate(u, want_policy=True)
     report = {}
-    u[p.int_flat] = fdsolver._solve_sparse(
-        p.assemble(weights), "lu", lambda: p.order, lambda: p.aggregates,
-        x0=u[p.int_flat], report=report)
+    u[q.int_flat] = fdsolver._solve_sparse(
+        q.assemble(weights), "lu", q, x0=u[q.int_flat], report=report)
     evaluate = fdsolver.DiscreteProblem.evaluate
     evaluated = []
 
@@ -338,6 +339,9 @@ def test_policy_cap_raises_with_history(monkeypatch):
 
 
 def test_factor_reuse_scope_nests_and_frees_on_exception():
+    # a nested scope joins the outer one, whose counts see the problem
+    # factored once and back-solved once; leaving it by an exception
+    # ends it, and the problem's one LU lives as long as the problem
     p = discretize(laplacian(), RECT, 1 / 16, boundary=_harmonic)
     with pytest.raises(RuntimeError):
         with factor_reuse() as scope:
@@ -345,44 +349,70 @@ def test_factor_reuse_scope_nests_and_frees_on_exception():
             with factor_reuse() as inner:
                 assert inner is scope
                 v, _ = solve_dirichlet(p)
-            assert scope.lu is not None
+            lu = weakref.ref(p._lu)
             raise RuntimeError("inside the scope")
     assert fdsolver._scope is None
-    assert scope.lu is None and scope.matrix is None
+    assert scope.problem is None and scope.problem_key is None
     assert scope.counts() == {"factorizations": 1, "reused_solves": 1,
                               "problems_built": 0, "problems_reused": 0}
-    w, _ = solve_dirichlet(p)
+    w, rec = solve_dirichlet(p)
+    assert p._lu is lu() and rec["solves"][0]["path"] == "lu_reuse"
     assert np.array_equal(u.values, v.values)
     assert np.array_equal(u.values, w.values)
+    del p
+    assert lu() is None
 
 
 def test_linear_problem_assembles_its_matrix_once(monkeypatch):
     # a linear strip is solved twice with new ring values: the second
-    # solve rebuilds only the right-hand side and the scope knows its
-    # matrix by identity, with the bits of a fresh problem's solve
+    # solve rebuilds only the right-hand side and back-solves the one
+    # LU the problem keeps of its matrix, with the bits of a fresh
+    # problem's solve; the LU goes with the problem
     p = discretize(laplacian(), RECT, 1 / 16, boundary=_harmonic)
     matrix = fdsolver.DiscreteProblem._matrix
-    built = []
+    factor = fdsolver._Factor
+    built, factored = [], []
 
     def counted(self, w):
         built.append(self)
         return matrix(self, w)
 
+    def counted_factor(B, order):
+        factored.append(B)
+        return factor(B, order)
+
     monkeypatch.setattr(fdsolver.DiscreteProblem, "_matrix", counted)
+    monkeypatch.setattr(fdsolver, "_Factor", counted_factor)
     with factor_reuse() as scope:
         u, _ = solve_dirichlet(p)
-        assert scope.matrix is p._fixed[0]
         p.grid.values[p.grid.mask == fdsolver.BOUNDARY] += 1.0
-        monkeypatch.setattr(fdsolver, "_same_entries", None)
         v, rec = solve_dirichlet(p, start=u)
         assert scope.counts() == {"factorizations": 1, "reused_solves": 1,
                                   "problems_built": 0, "problems_reused": 0}
     assert len(built) == 1 and built[0] is p
+    assert len(factored) == 1 and factored[0] is p._fixed[0]
     assert rec["solves"][0]["path"] == "lu_reuse"
     q = discretize(laplacian(), RECT, 1 / 16,
                    boundary=lambda x: _harmonic(x) + 1.0)
     w, _ = solve_dirichlet(q)
     assert np.array_equal(v.values, w.values)
+    lu = weakref.ref(p._lu)
+    del p, built[:]
+    assert lu() is None
+
+
+def test_pickled_linear_problem_solves_to_the_same_bits():
+    # a solved Laplace problem pickles without its LU, which SuperLU
+    # cannot pickle: the copy factors its matrix again on its first
+    # solve and reads the bits of the original's
+    p = discretize(laplacian(), RECT, 1 / 16, boundary=_harmonic)
+    u, _ = solve_dirichlet(p)
+    assert p._lu is not None
+    q = pickle.loads(pickle.dumps(p))
+    v, rec = solve_dirichlet(q)
+    assert [s["path"] for s in rec["solves"]] == ["direct"]
+    assert np.array_equal(u.values, v.values)
+    assert p._lu is not None
 
 
 def test_perturbed_direct_solve_raises(monkeypatch):
@@ -468,8 +498,7 @@ def test_pruned_assembly_is_the_chosen_stencil(dim, order, pucci, cells,
         1 + sum(inner[2 * p.dirs.index(d) + s, k]
                 for d in p.members[m] for s in (0, 1))
         for k, m in enumerate(policy.member)]
-    x = fdsolver._solve_sparse(system, fdsolver._Held("held_lu"),
-                               lambda: p.order, None)
+    x = fdsolver._solve_sparse(system, fdsolver._Held("held_lu"), p)
     np.testing.assert_allclose(x, np.linalg.solve(B, system.b),
                                rtol=0.0, atol=1e-10)
 
@@ -556,8 +585,7 @@ def test_direct_solve_under_dissection_matches_dense(dim, torus, seed):
         p = _masked_problem(op, interior, rng)
     u = rng.uniform(-1.0, 1.0, p.grid.values.size)
     system = p.assemble(p.evaluate(u, want_policy=True)[1])
-    x = fdsolver._solve_sparse(system, fdsolver._Held("held_lu"),
-                               lambda: p.order, None)
+    x = fdsolver._solve_sparse(system, fdsolver._Held("held_lu"), p)
     dense = np.linalg.solve(system.B.toarray(), system.b)
     # relative to the solution's size: with a small delta a cell
     # solution reaches the hundreds
@@ -592,7 +620,7 @@ def test_vcycle_solve_matches_dense(dim, flat, seed):
             runs.append(fdsolver._solve_sparse(
                 system, fdsolver._route(p.n_interior, dim, True, True, False,
                                         False),
-                None, lambda: p.aggregates, report=reports[-1]))
+                p, report=reports[-1]))
     assert reports[0]["path"] == "vcycle"
     assert reports[0]["levels"][-1] <= 4
     assert len(reports[0]["levels"]) == len(p.aggregates) + 1
@@ -1280,10 +1308,10 @@ _STRIP, _BUMP, _U_PM, _U_EPS, _U_EPS_LARGE, _BALL = \
 @pytest.mark.parametrize("n,dim,linear,independent,scoped,response,route", [
     # homogenize-disk: Laplace strips and u+/u- inside the scope of a
     # sweep, the u_eps outside it, and the Pucci+(1, 1) bump
-    pytest.param(_STRIP, 2, True, True, True, True, "scope_lu",
-                 id="scope_lu-lu_reuse"),
-    pytest.param(_U_PM, 2, True, True, True, False, "scope_lu",
-                 id="scope_lu-direct"),
+    pytest.param(_STRIP, 2, True, True, True, True, "lu",
+                 id="lu-lu_reuse"),
+    pytest.param(_U_PM, 2, True, True, True, False, "lu",
+                 id="lu_scoped-direct"),
     pytest.param(_U_EPS, 2, True, True, False, False, "lu", id="lu-direct"),
     pytest.param(_U_EPS_LARGE, 2, True, True, False, False, "cycle",
                  id="cycle-vcycle"),
@@ -1309,8 +1337,8 @@ _STRIP, _BUMP, _U_PM, _U_EPS, _U_EPS_LARGE, _BALL = \
                  id="2d_large_sign_dependent-held_lu"),
     pytest.param(_U_EPS_LARGE, 2, False, True, False, False, "held_cycle",
                  id="2d_large_sign_independent-held_cycle"),
-    pytest.param(_U_EPS_LARGE, 2, True, True, True, False, "scope_lu",
-                 id="2d_large_linear_scoped-scope_lu"),
+    pytest.param(_U_EPS_LARGE, 2, True, True, True, False, "lu",
+                 id="2d_large_linear_scoped-lu"),
     pytest.param(_BALL, 3, True, True, True, False, "cycle",
                  id="3d_large_linear_scoped-cycle"),
 ])
