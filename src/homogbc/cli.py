@@ -148,10 +148,10 @@ def _cmd_gbar(cfg, out):
     rows = []
     records = []
     if "points" in cfg:
+        nu = classify_direction(np.asarray(cfg["nu"], float)
+                                / np.linalg.norm(cfg["nu"]))
         for x0 in cfg["points"]:
             x0 = np.asarray(x0, float)
-            nu = classify_direction(np.asarray(cfg["nu"], float)
-                                    / np.linalg.norm(cfg["nu"]))
             est = corr.estimate_gbar(x0, nu, cfg["eps_list"], T=T, L=L, h=h,
                                      data=data, op=op)
             records.append(est.to_record())
@@ -200,6 +200,7 @@ def _cmd_audit(cfg, out):
 def _cmd_barriers(cfg, out):
     n = int(cfg.get("n", 2))
     lam, Lam = cfg["lam"], cfg["Lam"]
+    op = pucci_plus(lam, Lam, n)
     reports = {}
     ok = True
     for kind in cfg.get("kinds", ["radial_interior", "radial_exterior",
@@ -207,13 +208,10 @@ def _cmd_barriers(cfg, out):
         try:
             if kind == "radial_interior":
                 spec = BarrierSpec.radial_interior(n, lam, Lam)
-                op = pucci_plus(lam, Lam, n)
             elif kind == "radial_exterior":
                 spec = BarrierSpec.radial_exterior(n, lam, Lam, 1.0)
-                op = pucci_plus(lam, Lam, n)
             elif kind == "quad_strip":
                 spec = BarrierSpec.quad_strip(n, lam, Lam, amplitude=4.0)
-                op = pucci_plus(lam, Lam, n)
             else:
                 raise ConfigError(f"unknown barrier kind {kind!r}")
             rep = verify_supersolution(spec, op,

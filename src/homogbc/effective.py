@@ -11,6 +11,7 @@ extremal bump correction added to the envelopes instead of a sample.
 """
 
 import collections
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -185,6 +186,11 @@ def _trace_mean_varies(data, x0, m, tol):
 N_DENSE = 4096
 
 
+def _ball(z, r, reason):
+    """The excluded-ball record of centre z, radius r and its reason."""
+    return {"z": [float(c) for c in z], "r": float(r), "reason": reason}
+
+
 def _rational_direction_balls(p, delta, radius, g_sup):
     """Balls covering boundary points whose inward normal is a rational
     direction outside D_delta at which gbar is actually discontinuous.
@@ -195,8 +201,6 @@ def _rational_direction_balls(p, delta, radius, g_sup):
     keep all of them), and covers the matching boundary runs with balls
     spaced one radius apart.
     """
-    import itertools
-
     dom = p.domain
     n = dom.dim
     M = int(math.floor(1.0 / delta))
@@ -230,16 +234,14 @@ def _rational_direction_balls(p, delta, radius, g_sup):
     if len(runs) > 1 and idx[0] == 0 and idx[-1] == len(hit) - 1:
         runs[0] = np.concatenate([runs[-1], runs[0]])
         runs = runs[:-1]
+    reason = "rational normal outside D_delta"
     for run in runs:
         anchor = pts[run[0]]
-        balls.append({"z": [float(c) for c in anchor], "r": float(radius),
-                      "reason": "rational normal outside D_delta"})
+        balls.append(_ball(anchor, radius, reason))
         for i in run[1:]:
             if np.linalg.norm(pts[i] - anchor) >= radius:
                 anchor = pts[i]
-                balls.append({"z": [float(c) for c in anchor],
-                              "r": float(radius),
-                              "reason": "rational normal outside D_delta"})
+                balls.append(_ball(anchor, radius, reason))
     return balls
 
 
@@ -284,15 +286,13 @@ def sample_gbar_on_boundary(p, n_points, eps_list, delta, T=4.0, L=None,
                 d = classify_direction(nu_in)
             except ValueError as e:  # degenerate normal, e.g. a corner
                 env.notes.append(f"classification failed at s={s:.4f}: {e}")
-                env.excluded.append({"z": [float(c) for c in x],
-                                     "r": float(excluded_radius),
-                                     "reason": "unclassifiable normal"})
+                env.excluded.append(_ball(x, excluded_radius,
+                                          "unclassifiable normal"))
                 continue
             if d.kind == RATIONAL:
                 if not in_D_delta(d, delta):
-                    env.excluded.append({"z": [float(c) for c in x],
-                                         "r": float(excluded_radius),
-                                         "reason": f"m={d.m} not in D_delta"})
+                    env.excluded.append(_ball(
+                        x, excluded_radius, f"m={d.m} not in D_delta"))
                     continue
             try:
                 est = corr.estimate_gbar(x, d, eps_list, T=T, L=L, h=h_strip,

@@ -16,15 +16,16 @@ principle holds.
 Masked Dirichlet grids and the periodic cell problem on a torus are the
 same DiscreteProblem, solved by Howard policy iteration: freeze the
 optimizing member at each node (a compact ``Policy``), solve the
-resulting linear system, assembled straight into CSR, and re-optimize
-until the nonlinear residual is below tolerance.  Each linear system
-takes the route of ``_route``'s table (a sparse LU under a nested-
-dissection order, George 1973; BiCGSTAB with a plain-aggregation
-V-cycle, Braess 1995 and Vanek, Mandel and Brezina 1996; or plain
-BiCGSTAB) and is checked by its residual.  Howard is inexact
-(Dembo-Eisenstat-Steihaug forcing).  A linear problem keeps the LU of its
-one matrix, so every later solve of it is a back-solve; a ``factor_reuse``
-scope holds the last ``scoped_problem`` for later callers.
+resulting linear system, built by one walk of the chosen stencil
+straight into CSR, and re-optimize until the nonlinear residual is below
+tolerance.  Each linear system takes the route of ``_route``'s table (a
+sparse LU under a nested-dissection order, George 1973; BiCGSTAB with a
+plain-aggregation V-cycle, Braess 1995 and Vanek, Mandel and Brezina
+1996; or plain BiCGSTAB) and is checked by its residual.  Howard is
+inexact (Dembo-Eisenstat-Steihaug forcing).  A linear problem keeps its
+one system and the LU of its matrix, so every later solve of it is a sum
+over its ring arms and a back-solve; a ``factor_reuse`` scope holds the
+last ``scoped_problem`` for later callers.
 """
 
 import contextlib
@@ -337,24 +338,22 @@ class DiscreteProblem:
 
     def _extremum(self, d2, want_policy):
         """Sup/inf over the members of sum_d c_d * d2[d], with c_d the
-        member's slope for the sign of d2[d], reduced as a running
-        extremum; optionally the optimal ``Policy``."""
+        member's slope (``_slopes``) for the sign of d2[d], reduced as a
+        running extremum; optionally the optimal ``Policy``."""
         n = self.n_interior
-        ge = None if self.sign_independent else {
-            d: (d2[d] >= 0).view(np.uint8) for d in self.policy_dirs}
+        signs = None
+        if not self.sign_independent:
+            signs = np.zeros(n, dtype=self._flips.dtype)
+            for j, d in enumerate(self.policy_dirs):
+                signs |= np.left_shift((d2[d] >= 0).view(np.uint8), j,
+                                       dtype=signs.dtype)
         member = np.zeros(n, dtype=np.int8) if want_policy else None
         take_max = self.mode == "sup"
         F = None
         for m, mem in enumerate(self.members):
             tot = np.zeros(n)
-            flips = self._flips[m]
-            for d, (up, down) in mem.items():
-                # sign-dependent slopes are scalars (Pucci): a two-entry
-                # table lookup, several times faster than np.where, by an
-                # intp index (take converts any other far more slowly)
-                c = np.array([down, up]).take(ge[d].astype(np.intp)) \
-                    if flips >> self.policy_dirs.index(d) & 1 else up
-                tot += c * d2[d]
+            for d in mem:
+                tot += self._slopes(m, d, signs, slice(None)) * d2[d]
             if F is None:
                 F = tot
                 continue
@@ -362,14 +361,7 @@ class DiscreteProblem:
                 # a strict gain moves the node, so ties keep the lowest
                 member[tot > F if take_max else tot < F] = m
             (np.maximum if take_max else np.minimum)(F, tot, out=F)
-        if not want_policy:
-            return F, None
-        signs = None
-        if ge is not None:
-            signs = np.zeros(n, dtype=self._flips.dtype)
-            for j, d in enumerate(self.policy_dirs):
-                signs |= np.left_shift(ge[d], j, dtype=signs.dtype)
-        return F, Policy(member, signs)
+        return F, Policy(member, signs) if want_policy else None
 
     def evaluate(self, u_flat, want_policy):
         """The residual F_h(u) - delta*u - f over interior nodes and,
@@ -394,17 +386,6 @@ class DiscreteProblem:
         """One sign-independent member: the assembled matrix does not
         depend on the iterate."""
         return len(self.members) == 1 and self.sign_independent
-
-    @functools.cached_property
-    def _ring_arms(self):
-        """Per row of ``arms``, the nodes whose arm ends on the ring and
-        that end's position in ``ring_flat``."""
-        n = self.n_interior
-        out = []
-        for ends in self.arms:
-            rows = np.flatnonzero(ends >= n)
-            out.append((rows, ends[rows].astype(np.intp) - n))
-        return out
 
     @functools.cached_property
     def order(self):
@@ -443,20 +424,21 @@ class DiscreteProblem:
         return [(m, np.flatnonzero(policy.member == m))
                 for m in range(len(self.members))]
 
-    def _slopes(self, m, d, policy, rows, scale=1.0):
-        """Member m's slopes along d over ``scale`` at the nodes ``rows``
-        (an index array or a slice), all of which chose m."""
+    def _slopes(self, m, d, signs, rows):
+        """Member m's slopes along d at the nodes ``rows`` (an index
+        array, or a slice of all of them), all of which chose m, for the
+        sign bits ``signs`` (see ``Policy``), or one scalar for all of
+        them: the one reader of the members' slopes."""
         up, down = self.members[m][d]
         j = self.policy_dirs.index(d)
         if self._flips[m] >> j & 1:
             # sign-dependent slopes are scalars (Pucci): a two-entry
-            # table lookup by the sign bit
-            bit = np.bitwise_and(policy.signs[rows] >> j, 1, dtype=np.intp)
-            return np.array([down / scale, up / scale]).take(bit)
-        if np.ndim(up):
-            return up[rows] / scale
-        return np.broadcast_to(np.float64(up / scale),
-                               policy.member[rows].shape)
+            # table lookup by the sign bit, several times faster than
+            # np.where, by an intp index (take converts any other far
+            # more slowly)
+            bit = np.bitwise_and(signs[rows] >> j, 1, dtype=np.intp)
+            return np.array([down, up]).take(bit)
+        return up[rows] if np.ndim(up) else np.float64(up)
 
     @staticmethod
     def _scale(d, h):
@@ -464,16 +446,25 @@ class DiscreteProblem:
         return h * h * float(np.dot(d, d))
 
     def _matrix(self, policy):
-        """B = -L in canonical CSR for ``policy``, built one member's
-        nodes at a time.  Each row holds its member's arms of positive
-        weight to interior neighbours, in the order of the arms' flat
-        offsets, which is column order on a masked grid (a torus row
-        that wraps around is sorted afterwards), and its diagonal,
-        summed in ``policy_dirs`` order."""
+        """The system of ``policy`` from one walk of its chosen stencil,
+        one member's nodes at a time: B = -L in canonical CSR, its ring
+        arms and its shift term.
+
+        Each row of B holds its member's arms of positive weight to
+        interior neighbours, in the order of the arms' flat offsets,
+        which is column order on a masked grid (a torus row that wraps
+        around is sorted afterwards), and its diagonal, summed in
+        ``policy_dirs`` order.  The ring arms are the arms of positive
+        weight that end on the ring, as (rows, positions in
+        ``ring_flat``, weights) in walk order: member, ``policy_dirs``,
+        + before -.  The shift term is sum_d c_d m_d over the unscaled
+        slopes, or None without a shift.
+        """
         n = self.n_interior
         count = np.ones(n, dtype=np.int32)
         step = np.cumprod((1,) + self.grid.shape[:0:-1])[::-1]
-        blocks = []
+        blocks, ring = [], []
+        shift = None if self.shift is None else np.zeros(n)
         for m, rows in self._member_rows(policy):
             # intp: a take with any other index dtype converts it first
             every = np.arange(n)[rows]
@@ -485,8 +476,12 @@ class DiscreteProblem:
             for d in self.policy_dirs:
                 if d not in self.members[m]:
                     continue
-                wd = self._slopes(m, d, policy, rows,
-                                  self._scale(d, self.grid.h))
+                c = self._slopes(m, d, policy.signs, rows)
+                if shift is not None:
+                    shift[rows] += c * self.shift[d]
+                # a view: a scalar slope holds no array per node
+                wd = np.broadcast_to(c / self._scale(d, self.grid.h),
+                                     every.shape)
                 diag += 2.0 * wd
                 pos = wd > 0
                 j = self.dirs.index(d)
@@ -494,9 +489,14 @@ class DiscreteProblem:
                     live = pos & (self.arms[a][rows] < n)
                     counted += live
                     arms.append((sign * int(step @ d), live, a, wd))
+                    k = np.flatnonzero(pos ^ live)  # positive, to the ring
+                    edge = every.take(k)
+                    ring.append((edge, self.arms[a].take(edge) - n,
+                                 wd.take(k)))
             count[rows] = counted
             blocks.append((rows, every, diag,
                            sorted(arms, key=lambda arm: arm[0])))
+        ring = tuple(np.concatenate(part) for part in zip(*ring))
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(count, out=indptr[1:])
         indices = np.empty(indptr[-1], dtype=np.int32)
@@ -519,56 +519,43 @@ class DiscreteProblem:
                 at += live
         B = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
         B.sum_duplicates()
-        return B
+        return B, ring, shift
 
-    def _add_ring(self, b, policy, values):
-        """Add to ``b`` what the ring values of the grid array
-        ``values`` contribute to the system of ``policy``: at each node,
-        along its member's directions in ``policy_dirs`` order."""
-        ring = values.ravel()[self.ring_flat]
-        for m, mem in enumerate(self.members):
-            for d in self.policy_dirs:
-                if d not in mem:
-                    continue
-                j = self.dirs.index(d)
-                for rows, ends in self._ring_arms[2 * j:2 * j + 2]:
-                    if len(self.members) > 1:
-                        mine = policy.member[rows] == m
-                        rows, ends = rows[mine], ends[mine]
-                    wr = self._slopes(m, d, policy, rows,
-                                      self._scale(d, self.grid.h))
-                    live = wr > 0
-                    b[rows[live]] += wr[live] * ring[ends[live]]
+    def _system(self, policy):
+        """``_matrix`` of ``policy`` and the max norm of B, None until a
+        check needs it.  A linear problem's policy is its one member, so
+        it builds its system once, with the norm, and keeps it."""
+        if not self.linear:
+            return (*self._matrix(policy), None)
+        if self._fixed is None:
+            B, ring, shift = self._matrix(policy)
+            self._fixed = B, ring, shift, _max_norm(B)
+        return self._fixed
+
+    def _ring_sum(self, b, ring, values):
+        """``b`` plus, along the ring arms ``ring`` (see ``_matrix``) in
+        their walk order, weight times the ring value of the grid array
+        ``values``."""
+        rows, ends, w = ring
+        np.add.at(b, rows, w * values.ravel()[self.ring_flat].take(ends))
         return b
 
     def assemble(self, policy):
         """The frozen-policy system B x = b: B = -L and b = -rhs for the
-        sparse system L u_int = rhs.
+        sparse system L u_int = rhs, that is -f, plus the ring terms of
+        the current ring values, plus the shift term.
 
         Only arms with positive weight are stored, so the matrix holds
         the chosen member's stencil and no explicit zeros.  A linear
-        problem's policy is its one member, so its matrix is assembled
-        once; later calls rebuild only b from the current ring values.
+        problem's system is built once; later calls rebuild only b from
+        the current ring values.
         """
-        if self.linear and self._fixed is None:
-            B = self._matrix(policy)
-            self._fixed = B, _max_norm(B)
-        B, norm = self._fixed if self.linear else (self._matrix(policy), None)
-        b = self._add_ring(-np.asarray(self.f, dtype=float), policy,
+        B, ring, shift, norm = self._system(policy)
+        b = self._ring_sum(-np.asarray(self.f, dtype=float), ring,
                            self.grid.values)
-        if self.shift is not None:
-            for m, rows in self._member_rows(policy):
-                for d in self.policy_dirs:
-                    c = self._slopes(m, d, policy, rows) \
-                        if d in self.members[m] else 0.0
-                    b[rows] += c * self.shift[d]
+        if shift is not None:
+            b += shift
         return LinearSystem(B, b, norm)
-
-    def ring_rhs(self, policy, values):
-        """The right-hand side that the ring values of the grid array
-        ``values`` alone contribute to the system of ``policy`` (no
-        source, no shift)."""
-        return self._add_ring(np.zeros(self.n_interior), policy, values)
 
 
 # nested dissection stops at boxes of at most this many grid nodes
@@ -860,8 +847,8 @@ def scoped_problem(key, build, fits):
     one it built under a key that is not None and that fits.  ``fits``
     says whether a problem serves the caller as it is, apart from what
     the caller resets (its ring values, say), so equal keys alone never
-    share one.  The grid, neighbour tables, cached arms, elimination
-    order and a linear problem's assembled matrix and LU carry over.
+    share one.  The grid, neighbour table, elimination order and a
+    linear problem's system (matrix, ring arms) and LU carry over.
     The scope counts every problem built and reused inside it.
     """
     s = _scope
@@ -1249,13 +1236,15 @@ def solve_dirichlet(p, tol=1e-8, start=None, response=None):
         return grid, record
     psi = GridField(grid.origin, grid.h, grid.mask,
                     np.where(response, 1.0, 0.0))
-    # pi's matrix is assembled again rather than kept through the loop,
-    # where it would be alive while the next policy is chosen
-    B, _, norm = p.assemble(policy)
+    # pi's system is built again rather than kept through the loop, where
+    # it would be alive while the next policy is chosen; its right-hand
+    # side is the ring terms of psi's ring values alone
+    B, ring, _, norm = p._system(policy)
     record["response"] = {}
     psi.values.ravel()[p.int_flat] = _solve_sparse(
-        LinearSystem(B, p.ring_rhs(policy, psi.values), norm), route, p,
-        report=record["response"])
+        LinearSystem(B, p._ring_sum(np.zeros(p.n_interior), ring,
+                                    psi.values), norm),
+        route, p, report=record["response"])
     return grid, record, psi
 
 

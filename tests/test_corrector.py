@@ -434,11 +434,13 @@ def test_perturbed_response_solve_is_caught(monkeypatch):
     # policy is factored instead
     rng = np.random.default_rng(0)
     responding = []
-    ring_rhs = fdsolver.DiscreteProblem.ring_rhs
+    solve_sparse = fdsolver._solve_sparse
 
-    def flagged(self, *args):
-        responding.append(True)
-        return ring_rhs(self, *args)
+    def flagged(*args, **kwargs):
+        # the response is the one solve that starts from no iterate
+        if kwargs.get("x0") is None:
+            responding.append(True)
+        return solve_sparse(*args, **kwargs)
 
     def noisy(x):
         return x + 1e-3 * rng.standard_normal(x.size) if responding else x
@@ -467,7 +469,7 @@ def test_perturbed_response_solve_is_caught(monkeypatch):
     assert large_rec["solves"][-1]["path"] == "lu_precond"
     assert large_rec["response"]["path"] == "lu_precond"
     assert large_rec["response"]["krylov_iterations"] > 1
-    monkeypatch.setattr(fdsolver.DiscreteProblem, "ring_rhs", flagged)
+    monkeypatch.setattr(fdsolver, "_solve_sparse", flagged)
     with monkeypatch.context() as m:
         m.setattr(fdsolver._Factor, "solve",
                   lambda self, b: noisy(lu_solve(self, b)))

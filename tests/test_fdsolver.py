@@ -176,6 +176,90 @@ def test_cell_system_is_m_matrix(op):
     assert np.all(B.diagonal() > 0)
 
 
+def _random_ring(rng):
+    return lambda x: rng.uniform(-1.0, 1.0, len(x))
+
+
+_SYSTEM_CASES = {
+    "pucci_plus_2d": lambda rng, bellman: discretize(
+        pucci_plus(1.0, 2.0), DomainSpec.disk((0.0, 0.0), 1.0), 1 / 8,
+        boundary=_random_ring(rng)),
+    "pucci_minus_2d": lambda rng, bellman: discretize(
+        pucci_minus(1.0, 2.0), DomainSpec.disk((0.0, 0.0), 1.0), 1 / 8,
+        boundary=_random_ring(rng)),
+    "pucci_plus_3d": lambda rng, bellman: discretize(
+        pucci_plus(1.0, 1.5, 3), DomainSpec.disk((0.0, 0.0, 0.0), 1.0),
+        1 / 4, boundary=_random_ring(rng)),
+    "pucci_minus_3d": lambda rng, bellman: discretize(
+        pucci_minus(1.0, 1.5, 3), DomainSpec.disk((0.0, 0.0, 0.0), 1.0),
+        1 / 4, boundary=_random_ring(rng)),
+    "linear_cross": lambda rng, bellman: discretize(
+        linear_operator({"a11": "2 + sin(2*pi*y1)", "a12": "0.6",
+                         "a22": "1.5 + 0.5*cos(2*pi*y2)"}, 1.0, 3.0,
+                        period=(1.0, 1.0)),
+        RECT, 1 / 12, boundary=_random_ring(rng)),
+    "bellman_inf": lambda rng, bellman: discretize(
+        bellman("inf"), RECT, 1 / 12, boundary=_random_ring(rng)),
+    "masked_source": lambda rng, bellman: discretize(
+        pucci_plus(1.0, 3.0), DomainSpec.disk((0.2, -0.1), 0.8), 1 / 10,
+        boundary=_random_ring(rng),
+        source=lambda x: rng.uniform(-5.0, 5.0, len(x))),
+    "torus_shift_delta": lambda rng, bellman: discretize_cell(
+        pucci_plus(1.0, 2.0), np.array([[1.0, 0.4], [0.4, -2.0]]), 0.3, 12),
+}
+
+
+@pytest.mark.parametrize("case", list(_SYSTEM_CASES))
+def test_assembled_system_is_the_operator_at_its_policy(diag_bellman, case):
+    # for a random iterate u and the policy evaluate(u) picks, the
+    # frozen system's b - B u_int is the residual F_h(u) - delta*u - f:
+    # B, the ring terms and the shift together are the operator there
+    rng = np.random.default_rng(24)
+    p = _SYSTEM_CASES[case](rng, diag_bellman)
+    u = p.grid.values.ravel().copy()
+    u[p.int_flat] = rng.uniform(-1.0, 1.0, p.n_interior)
+    r, policy = p.evaluate(u, want_policy=True)
+    B, b, _ = p.assemble(policy)
+    err = np.max(np.abs(b - B @ u[p.int_flat] - r))
+    assert err <= 1e-14 * np.max(np.abs(B) @ np.abs(u[p.int_flat]) +
+                                 np.abs(b))
+
+
+def test_response_rhs_is_the_ring_terms_of_the_mask(monkeypatch):
+    # the response's right-hand side is what a unit value on the marked
+    # ring nodes adds to b at the accepted policy: b(ring + mask) -
+    # b(ring)
+    rng = np.random.default_rng(7)
+    p = discretize(pucci_plus(1.0, 2.0), DomainSpec.disk((0.0, 0.0), 1.0),
+                   1 / 12, boundary=_random_ring(rng),
+                   source=lambda x: np.ones(len(x)))
+    ring = p.grid.mask == fdsolver.BOUNDARY
+    mask = ring & (p.grid.coords()[..., 1] > 0.3)
+    policies, rhs = [], []
+    assemble = fdsolver.DiscreteProblem.assemble
+    solve_sparse = fdsolver._solve_sparse
+
+    def recorded(self, policy):
+        policies.append(policy)
+        return assemble(self, policy)
+
+    def response(system, *args, **kwargs):
+        if kwargs.get("x0") is None:
+            rhs.append(system.b.copy())
+        return solve_sparse(system, *args, **kwargs)
+
+    monkeypatch.setattr(fdsolver.DiscreteProblem, "assemble", recorded)
+    monkeypatch.setattr(fdsolver, "_solve_sparse", response)
+    fdsolver.solve_dirichlet(p, response=mask)
+    assert len(rhs) == 1
+    before = assemble(p, policies[-1]).b
+    p.grid.values[mask] += 1.0
+    after = assemble(p, policies[-1]).b
+    np.testing.assert_allclose(rhs[0], after - before, rtol=0.0,
+                               atol=1e-13 * np.max(np.abs(after)))
+    assert np.any(rhs[0] > 0)
+
+
 def test_dump_load_roundtrip(tmp_path):
     p = discretize(laplacian(), RECT, 1 / 8, boundary=_harmonic)
     u, _ = solve_dirichlet(p)
@@ -1158,9 +1242,9 @@ def test_held_vcycle_keeps_no_earlier_policy_matrix(monkeypatch):
 
     def watched(self, policy):
         assert not [r for r in live if r() is not None]
-        B = matrix(self, policy)
-        live.append(weakref.ref(B))
-        return B
+        system = matrix(self, policy)
+        live.append(weakref.ref(system[0]))
+        return system
 
     monkeypatch.setattr(fdsolver.DiscreteProblem, "_matrix", watched)
     _, rec = solve_dirichlet(_bump2d(pucci_plus(1.0, 1.0)))
