@@ -1,7 +1,8 @@
 """Batch experiment driver.
 
 Every subcommand reads a JSON config, writes its outputs plus a run
-manifest (config echo, versions, wall time) into the output directory,
+manifest (config echo, versions, wall time, peak memory of the process
+and of its workers) into the output directory,
 and exits 0 on success, 2 on config errors, 3 on numerical failures,
 and 4 when a computed verdict is false.  ``--output-dir`` is the only
 way to set the output directory (default: the current one).  Reruns
@@ -14,6 +15,7 @@ import argparse
 import csv
 import json
 import os
+import resource
 import sys
 import time
 
@@ -342,6 +344,12 @@ def main(argv=None):
             "python": sys.version.split()[0],
         },
         "wall_time_s": time.perf_counter() - t0,
+        # ru_maxrss is in KB on Linux; a process's own peak leaves out
+        # its forked workers, whose largest peak the second one reads
+        "peak_rss_mb": resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "children_peak_rss_mb": resource.getrusage(
+            resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
         "outputs": outputs,
     })
     return code

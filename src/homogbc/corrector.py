@@ -25,7 +25,11 @@ problem with other ring values, so it is discretized once per scope,
 not once per strip.  Under a linear operator with one constant
 coefficient the strips of one normal (of every normal, for such an
 operator) share their problem across epsilons and passes, and with it
-the LU of its matrix, so that matrix is factored once.
+the LU of its matrix, so that matrix is factored once.  A standalone
+estimate (one that opens the outermost scope) under a nonlinear
+operator shares no LU across its strips, so it solves them on the
+usable cores by ``fdsolver.fork_map``: each forked worker discretizes
+its own strips, and every result is bitwise the serial one.
 """
 
 import itertools
@@ -367,22 +371,34 @@ def estimate_gbar(x0, nu, eps_list, T, L, h, data, op, tol=1e-8):
     <= 2 max(err) + equality_tol with equality_tol = max(err), making the
     total band 3x the combined error bar.  When equal, gbar = mean alpha.
     Raises SolveError if a ray limit leaves [-sup|g|, sup|g|].
+
+    The strips run in one ``factor_reuse`` scope, one after the other
+    when the caller holds a scope (its strips share one problem, and
+    under a linear operator one LU) or the operator is linear (the
+    strips share one LU across epsilons).  Otherwise they run by
+    ``fdsolver.fork_map``, over the usable cores; the caller's process
+    solves the smallest epsilon, and a failing strip raises as it would
+    in the serial loop.
     """
     if len(eps_list) < 2:
         raise ValueError("need at least two epsilon values")
-    recs = []
-    flagged = []
+
+    def strip(eps):
+        p = build_strip(x0, nu, eps, T, L, h, data, op)
+        alpha, err, rec = ray_limit(p, tol=tol)
+        if abs(alpha) > p.g_sup + 10 * tol + 1e-9:
+            raise fdsolver.SolveError(f"|alpha| = {abs(alpha):g} "
+                                      f"exceeds sup|g| = {p.g_sup:g}")
+        rec["eps"] = float(eps)
+        return rec
+
+    standalone = fdsolver._scope is None
     with fdsolver.factor_reuse():
-        for eps in sorted(eps_list):
-            p = build_strip(x0, nu, eps, T, L, h, data, op)
-            alpha, err, rec = ray_limit(p, tol=tol)
-            if abs(alpha) > p.g_sup + 10 * tol + 1e-9:
-                raise fdsolver.SolveError(f"|alpha| = {abs(alpha):g} "
-                                          f"exceeds sup|g| = {p.g_sup:g}")
-            rec["eps"] = float(eps)
-            recs.append(rec)
-            if rec["flagged"]:
-                flagged.append(float(eps))
+        if standalone and op.kind != "linear":
+            recs = fdsolver.fork_map(strip, sorted(eps_list))
+        else:
+            recs = [strip(eps) for eps in sorted(eps_list)]
+    flagged = [r["eps"] for r in recs if r["flagged"]]
     alphas = [r["alpha"] for r in recs]
     errs = [r["err"] for r in recs]
     spread = max(alphas) - min(alphas)

@@ -25,16 +25,26 @@ plain-aggregation V-cycle, Braess 1995 and Vanek, Mandel and Brezina
 inexact (Dembo-Eisenstat-Steihaug forcing).  A linear problem keeps its
 one system and the LU of its matrix, so every later solve of it is a sum
 over its ring arms and a back-solve; a ``factor_reuse`` scope holds the
-last ``scoped_problem`` for later callers.
+last ``scoped_problem`` for later callers.  ``fork_map`` runs a short
+list of independent items (the strips of one estimate) on the usable
+cores, one forked worker per extra core, with every OpenBLAS pool
+pinned to one thread.
 """
 
 import contextlib
+import ctypes
 import functools
+import glob
 import math
+import os
+import signal
+import sys
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
+import scipy
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
@@ -44,7 +54,7 @@ __all__ = [
     "CertificateError",
     "SolveError",
     "frames_for", "monotone_weights", "discretize", "discretize_cell",
-    "solve_dirichlet", "factor_reuse", "scoped_problem",
+    "solve_dirichlet", "factor_reuse", "scoped_problem", "fork_map",
     "comparison_check",
 ]
 
@@ -863,6 +873,153 @@ def scoped_problem(key, build, fits):
     if key is not None and fits(problem):
         s.problem_key, s.problem = key, problem
     return problem
+
+
+def _thread_counts(lib):
+    """The (get, set) thread-count functions the OpenBLAS ``lib``
+    exports under its plain or its scipy-openblas names, or None."""
+    for prefix in ("openblas", "scipy_openblas"):
+        for suffix in ("", "64_"):
+            get, put = (getattr(lib, f"{prefix}_{op}_num_threads{suffix}",
+                                None) for op in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@functools.cache
+def _blas_pools():
+    """The (get, set) thread-count functions of every OpenBLAS pool that
+    numpy and scipy ship and this process has loaded (numpy's for its
+    own BLAS, scipy's for SuperLU's), or () when one of them has no such
+    pair.  Resolved on the first ``fork_map`` call, not at import."""
+    sites = {os.path.dirname(os.path.dirname(m.__file__))
+             for m in (np, scipy)}
+    pools = []
+    for site in sorted(sites):
+        for path in sorted(glob.glob(os.path.join(site, "*.libs",
+                                                  "*openblas*"))):
+            try:
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            except OSError:  # shipped but not loaded by this process
+                continue
+            pair = _thread_counts(lib)
+            if pair is None:
+                return ()
+            pools.append(pair)
+    return tuple(pools)
+
+
+@functools.cache
+def _prctl():
+    """libc's ``prctl(option, arg)`` on Linux, else None."""
+    if not sys.platform.startswith("linux"):
+        return None
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], \
+            ctypes.c_int
+    return prctl
+
+
+def _fork_context(n_items):
+    """The ``"fork"`` context when ``fork_map`` may fork over
+    ``n_items`` items, else None.  A process with a second Python
+    thread is not forked: that thread may hold a lock the worker
+    needs."""
+    # imported on first use: a process that never forks (a job that
+    # solves no standalone estimate) pays no import time or memory
+    import multiprocessing
+    if n_items < 2 or _prctl() is None or \
+            "fork" not in multiprocessing.get_all_start_methods() or \
+            multiprocessing.parent_process() is not None or \
+            threading.active_count() > 1:
+        return None
+    if len(os.sched_getaffinity(0)) < 2 or not _blas_pools():
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _fork_worker(fn, items, conn, parent):
+    """A ``fork_map`` worker: ``fn`` over its items in its own
+    ``factor_reuse`` scope, sent back as ("ok", results) or ("err",
+    exception).  It dies with its parent."""
+    global _scope
+    _prctl()(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != parent:  # the parent died before the prctl
+        os._exit(1)
+    for _, set_threads in _blas_pools():
+        set_threads(1)
+    _scope = None  # the caller's scope, copied by the fork, is not ours
+    try:
+        with factor_reuse():
+            reply = ("ok", [fn(x) for x in items])
+    except Exception as e:  # forwarded to the parent, which raises it
+        reply = ("err", e)
+    conn.send(reply)
+
+
+def fork_map(fn, items):
+    """``[fn(x) for x in items]``, over the usable CPUs.
+
+    With at least two items and two CPUs, on Linux with the ``"fork"``
+    start method, in one Python thread outside a worker and with every
+    loaded OpenBLAS pool settable, the items split into one contiguous
+    chunk per CPU (at most one per item).  Every pool is set to one
+    thread (two processes that each ran OpenBLAS's own threads ran 5-15x
+    slower); each chunk after the first runs in a forked worker, and the
+    caller runs the first itself.  The results come back in input order,
+    and a failure raises the first one in input order, with its type and
+    attributes, after every worker is killed and joined; so is a worker
+    that exits without a result (RuntimeError).  No worker outlives the
+    call, and the pools get back their thread counts.  ``fn`` need not
+    pickle; its results and exceptions must.  Otherwise runs the
+    comprehension.
+    """
+    items = list(items)
+    ctx = _fork_context(len(items))
+    if ctx is None:
+        return [fn(x) for x in items]
+    pools = _blas_pools()
+    k = min(len(items), len(os.sched_getaffinity(0)))
+    chunks = [items[i * len(items) // k:(i + 1) * len(items) // k]
+              for i in range(k)]
+    saved = [get_threads() for get_threads, _ in pools]
+    workers = []
+    try:
+        for _, set_threads in pools:
+            set_threads(1)
+        for chunk in chunks[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_fork_worker, daemon=True,
+                               args=(fn, chunk, send, os.getpid()))
+            proc.start()
+            workers.append((proc, recv))
+            send.close()
+        out = [fn(x) for x in chunks[0]]
+        for proc, recv in workers:
+            try:
+                status, value = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"a forked worker exited with code "
+                                   f"{proc.exitcode} and no result") from None
+            if status == "err":
+                raise value
+            out += value
+        return out
+    except BaseException:
+        for proc, _ in workers:
+            proc.kill()
+        raise
+    finally:
+        for proc, recv in workers:
+            proc.join()
+            recv.close()
+        for (_, set_threads), n in zip(pools, saved):
+            set_threads(n)
 
 
 class _Held:

@@ -1,7 +1,10 @@
 import json
 import math
+import multiprocessing
 import os
 
+import numpy as np
+import pytest
 
 from homogbc.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                          EXIT_VERDICT_FALSE, main)
@@ -294,3 +297,59 @@ def test_fast_variable_in_source_is_config_error(tmp_path):
     })
     assert code == EXIT_CONFIG
     assert not (out / "manifest.json").exists()
+
+
+PUCCI_GBAR = {
+    "operator": {"kind": "pucci_plus", "lam": 1.0, "Lam": 2.0},
+    "g": "cos(2*pi*y1)*cos(2*pi*y2)", "period": [1.0, 1.0],
+    "nu": [1.0, math.sqrt(2.0)],
+    "points": [[0.3, 0.1]],
+    "eps_list": [0.25, 0.125],
+    "strip": {"T": 2.0, "L": 8.0, "h": 0.125},
+}
+
+
+def _two_cpus(monkeypatch):
+    from homogbc import fdsolver
+
+    if not (fdsolver._prctl() and fdsolver._blas_pools()):
+        pytest.skip("forked strips need Linux and a settable OpenBLAS")
+    monkeypatch.setattr(fdsolver.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+
+
+def test_gbar_points_manifest_reads_peak_memory(tmp_path, monkeypatch):
+    # a Pucci estimate forks its second strip: the manifest reads the
+    # peak memory of the process and of its workers
+    _two_cpus(monkeypatch)
+    code, out = _run(tmp_path, "gbar", PUCCI_GBAR)
+    assert code == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["peak_rss_mb"] > 0.0
+    assert manifest["children_peak_rss_mb"] > 0.0
+    assert multiprocessing.active_children() == []
+
+
+def test_gbar_worker_failure_exits_numerical(tmp_path, monkeypatch, capsys):
+    # the strip of the larger epsilon fails in the forked worker: the
+    # run exits 3 with the error's JSON, history included, and leaves
+    # no worker and no manifest
+    from homogbc import corrector, fdsolver
+
+    _two_cpus(monkeypatch)
+    limit = corrector.ray_limit
+    worker_y0 = np.array(PUCCI_GBAR["points"][0]) / 0.25
+
+    def failing(p, *args, **kwargs):
+        if np.array_equal(p.y0_eps, worker_y0):
+            raise fdsolver.SolveError("injected", [1.0])
+        return limit(p, *args, **kwargs)
+
+    monkeypatch.setattr(corrector, "ray_limit", failing)
+    code, out = _run(tmp_path, "gbar", PUCCI_GBAR)
+    assert code == EXIT_NUMERICAL
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "SolveError", "message": "injected",
+                       "history": [1.0]}
+    assert not (out / "manifest.json").exists()
+    assert multiprocessing.active_children() == []

@@ -1,5 +1,8 @@
 import contextlib
 import math
+import multiprocessing
+import os
+import threading
 import weakref
 
 import numpy as np
@@ -550,3 +553,125 @@ def test_ray_limit_within_datum_range(pucci, c0, amps, angle, eps, x0):
     alpha = ray_limit(p, tol=tol)[0]
     spread = abs(A) + abs(B)
     assert c0 - spread - 10 * tol <= alpha <= c0 + spread + 10 * tol
+
+
+# a standalone nonlinear estimate forks one worker per extra strip;
+# these tests make two CPUs usable whatever the machine has
+needs_fork = pytest.mark.skipif(
+    not (fdsolver._prctl() and fdsolver._blas_pools()),
+    reason="forked strips need Linux and a settable OpenBLAS")
+FORK = multiprocessing.get_context("fork").Process
+
+
+def _two_cpus(monkeypatch, cpus=(0, 1)):
+    monkeypatch.setattr(fdsolver.os, "sched_getaffinity",
+                        lambda pid: set(cpus))
+
+
+def _count_starts(monkeypatch):
+    started = []
+    start = FORK.start
+
+    def counted(self):
+        started.append(self)
+        return start(self)
+
+    monkeypatch.setattr(FORK, "start", counted)
+    return started
+
+
+def _pucci_estimate():
+    return estimate_gbar(X0, NU_IRR, [0.25, 0.125], 2.0, 8.0, 1 / 8,
+                         COS_DATA, pucci_plus(1.0, 2.0))
+
+
+@needs_fork
+def test_standalone_pucci_estimate_forks_bitwise(monkeypatch):
+    # the estimate solves its smaller epsilon itself and the other in
+    # one worker: the record is bitwise the serial one of a caller's
+    # scope, no worker outlives it and the BLAS pools read their
+    # thread counts again
+    _two_cpus(monkeypatch)
+    started = _count_starts(monkeypatch)
+    threads = [get() for get, _ in fdsolver._blas_pools()]
+    est = _pucci_estimate()
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
+    assert [get() for get, _ in fdsolver._blas_pools()] == threads
+    with fdsolver.factor_reuse():
+        serial = _pucci_estimate()
+    assert len(started) == 1
+    assert repr(est.to_record()) == repr(serial.to_record())
+
+
+def _fail_at(monkeypatch, eps, fail):
+    """Make ``ray_limit`` call ``fail()`` on the strip of ``eps``."""
+    limit = corrector.ray_limit
+
+    def failing(p, *args, **kwargs):
+        if np.array_equal(p.y0_eps, X0 / eps):
+            fail()
+        return limit(p, *args, **kwargs)
+
+    monkeypatch.setattr(corrector, "ray_limit", failing)
+
+
+def _injected():
+    raise fdsolver.SolveError("injected", [1.0])
+
+
+@needs_fork
+@pytest.mark.parametrize("eps", [0.25, 0.125], ids=["worker", "parent"])
+def test_forked_strip_failure_raises_and_reaps(monkeypatch, eps):
+    # a failing strip raises its SolveError with its history in the
+    # caller, whether the worker or the caller solved it; a worker that
+    # is still running is killed, and none outlives the call
+    _two_cpus(monkeypatch)
+    started = _count_starts(monkeypatch)
+    _fail_at(monkeypatch, eps, _injected)
+    with pytest.raises(fdsolver.SolveError, match="injected") as info:
+        _pucci_estimate()
+    assert info.value.history == [1.0]
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_worker_that_dies_without_a_result_raises(monkeypatch):
+    _two_cpus(monkeypatch)
+    _fail_at(monkeypatch, 0.25, lambda: os._exit(7))
+    with pytest.raises(RuntimeError, match="code 7"):
+        _pucci_estimate()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("case", ["one_cpu", "linear", "caller_scope",
+                                  "no_blas_pool", "second_thread"])
+def test_estimate_stays_serial(monkeypatch, case):
+    # one usable CPU, a linear operator (its strips share one LU), a
+    # caller's scope (its strips share one problem), an OpenBLAS whose
+    # threads cannot be pinned or a second Python thread: no process
+    # starts
+    def refuse(self):
+        raise AssertionError("a worker started")
+
+    monkeypatch.setattr(FORK, "start", refuse)
+    _two_cpus(monkeypatch, (0,) if case == "one_cpu" else (0, 1))
+    if case == "no_blas_pool":
+        monkeypatch.setattr(fdsolver, "_blas_pools", lambda: ())
+    op = laplacian() if case == "linear" else pucci_plus(1.0, 2.0)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if case == "second_thread":
+        thread.start()
+    try:
+        with fdsolver.factor_reuse() if case == "caller_scope" else \
+                contextlib.nullcontext():
+            est = estimate_gbar(X0, NU_IRR, [0.25, 0.125], 2.0, 8.0, 1 / 8,
+                                COS_DATA, op)
+    finally:
+        release.set()
+        if thread.is_alive():
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert [r["eps"] for r in est.per_eps] == [0.125, 0.25]

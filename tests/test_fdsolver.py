@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import multiprocessing
+import os
 import pickle
 import types
 import weakref
@@ -1565,3 +1567,33 @@ def test_3d_howard_solve_memory_per_unknown():
         tracemalloc.stop()
     assert p.n_interior == 73_447 and rec["converged"]
     assert peak / p.n_interior <= HOWARD_3D_BYTES, peak / p.n_interior
+
+
+@pytest.mark.skipif(not (fdsolver._prctl() and fdsolver._blas_pools()),
+                    reason="forked workers need Linux and a settable OpenBLAS")
+def test_fork_map_is_the_comprehension(monkeypatch):
+    # five items over three usable CPUs: two workers, the results in
+    # input order; the first failure in input order raises with its
+    # type and attributes, and no worker outlives either call
+    monkeypatch.setattr(fdsolver.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2})
+    started = []
+    fork = multiprocessing.get_context("fork").Process
+    start = fork.start
+    monkeypatch.setattr(fork, "start",
+                        lambda self: (started.append(self), start(self)))
+    parent = os.getpid()
+    assert fdsolver.fork_map(lambda x: (x * x, os.getpid() == parent),
+                             range(5)) == [(0, True), (1, False), (4, False),
+                                           (9, False), (16, False)]
+    assert len(started) == 2
+
+    def odd(x):
+        if x % 2:
+            raise SolveError(f"odd {x}", [x])
+        return x
+
+    with pytest.raises(SolveError, match="odd 3") as info:
+        fdsolver.fork_map(odd, [0, 2, 3, 5, 4])
+    assert info.value.history == [3]
+    assert multiprocessing.active_children() == []
